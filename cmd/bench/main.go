@@ -1,7 +1,8 @@
 // Command bench is the repository's scripted perf harness: it runs a fixed
-// scenario suite — Eclat and Moment mining, pipeline publication at worker
-// tiers 1/2/8, and checkpointed runs (all-full snapshots and delta chains)
-// — through testing.Benchmark and
+// scenario suite — Eclat and Moment mining, the hybrid scheme's bias
+// optimization at γ = 2 and 3, pipeline publication at worker tiers 1/2/8,
+// and checkpointed runs (all-full snapshots and delta chains) — through
+// testing.Benchmark and
 // writes the measurements to BENCH_pipeline.json (ns/op, windows/sec,
 // allocs/op, bytes/op per scenario). The JSON is the machine-readable perf
 // trajectory CI archives on every build, so a regression shows up as a
@@ -27,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/fec"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/mining/moment"
@@ -118,6 +120,30 @@ func benchMoment(records []itemset.Itemset) func(b *testing.B) {
 	}
 }
 
+// benchBias times the hybrid scheme's bias optimization (λ = 0.4) at
+// lookback γ over the FEC ladders of the corpus's publications — the
+// per-layer γ sweep of Fig. 6. Every ladder runs the DP (there is no memo
+// here), so allocs/op pins the order-preserving kernel's per-call
+// allocations.
+func benchBias(records []itemset.Itemset, gamma int) func(b *testing.B) {
+	var ladders [][]fec.Class
+	m := moment.New(benchWindow, benchSupport)
+	for pos, rec := range records {
+		m.Push(rec)
+		if pos+1 >= benchWindow && (pos+1-benchWindow)%benchPublishEvery == 0 {
+			ladders = append(ladders, fec.Partition(m.Frequent()))
+		}
+	}
+	scheme := core.Hybrid{Lambda: 0.4, Order: core.OrderPreserving{Gamma: gamma}}
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, classes := range ladders {
+				scheme.Biases(classes, benchParams())
+			}
+		}
+	}
+}
+
 // benchPublish runs the full pipeline (mine, perturb, emit) at the given
 // worker tier. fullEvery > 0 additionally checkpoints every window:
 // fullEvery=1 writes a full snapshot per generation (the v1 durability tax),
@@ -168,6 +194,13 @@ func scenarios() []scenario {
 	s := []scenario{
 		{name: "mine/eclat", bench: benchEclat(records)},
 		{name: "mine/moment", windows: benchWindows, bench: benchMoment(records)},
+	}
+	for _, gamma := range []int{2, 3} {
+		s = append(s, scenario{
+			name:    fmt.Sprintf("bias/hybrid-gamma=%d", gamma),
+			windows: benchWindows,
+			bench:   benchBias(records, gamma),
+		})
 	}
 	for _, workers := range []int{1, 2, 8} {
 		workers := workers

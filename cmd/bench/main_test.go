@@ -41,6 +41,7 @@ func TestBenchSuiteWellFormedJSON(t *testing.T) {
 
 	wantScenarios := []string{
 		"mine/eclat", "mine/moment",
+		"bias/hybrid-gamma=2", "bias/hybrid-gamma=3",
 		"publish/workers=1", "publish/workers=2", "publish/workers=8",
 		"publish/checkpointed", "publish/checkpointed-delta",
 	}
@@ -58,7 +59,7 @@ func TestBenchSuiteWellFormedJSON(t *testing.T) {
 			t.Errorf("scenario %s has windows but no throughput: %+v", sc.Name, sc)
 		}
 	}
-	for _, sc := range decoded.Scenarios[2:] { // the publish tiers
+	for _, sc := range decoded.Scenarios[2:] { // one op covers every publication
 		if sc.WindowsPerOp != benchWindows {
 			t.Errorf("scenario %s windows_per_op = %d, want %d", sc.Name, sc.WindowsPerOp, benchWindows)
 		}

@@ -25,9 +25,11 @@ import (
 
 // pinBounds: measured steady state is ~5 allocs/window at workers=1 and
 // ~35 at workers=8 (8 goroutines + their key buffers + scheduling).
+// A memo miss adds the bias DP's ~13 flat slices, sized once per call.
 const (
 	allocBoundSequential = 16
 	allocBoundChunked    = 96
+	allocBoundMemoMiss   = 20
 )
 
 // denseResult builds a window with nClasses FECs of perClass itemsets each —
@@ -95,5 +97,48 @@ func TestPublishAllocsPinned(t *testing.T) {
 			name := fmt.Sprintf("workers=%d/hits=%v", workers, hits)
 			t.Run(name, func(t *testing.T) { pinPublishAllocs(t, workers, hits) })
 		}
+	}
+	t.Run("workers=1/memo=miss", pinMemoMissAllocs)
+}
+
+// pinMemoMissAllocs alternates two FEC ladders, so the bias memo misses and
+// the order-preserving DP runs on every window. Its allocations are sized
+// once per call, never per class: the pin must read the same count at 20
+// and at 60 classes, and stay under a bound below either class count.
+func pinMemoMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under the race detector's shadow allocations")
+	}
+	perWindow := map[int]float64{}
+	for _, nClasses := range []int{20, 60} {
+		pub := newTestPublisher(t, Hybrid{Lambda: 0.4, Order: OrderPreserving{Gamma: 3}})
+		// DELIBERATELY INSECURE test mode: only the bias memo is under test.
+		pub.SetRepublicationCache(false)
+		ladders := []*mining.Result{denseResult(nClasses, 4, 12), denseResult(nClasses, 4, 13)}
+		publishBoth := func() {
+			for _, res := range ladders {
+				if _, err := pub.Publish(res, 150); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 3; i++ {
+			publishBoth() // grow every scratch buffer to its high-water mark
+		}
+		reuses := pub.BiasReuses()
+		allocs := testing.AllocsPerRun(16, publishBoth) / float64(len(ladders))
+		if pub.BiasReuses() != reuses {
+			t.Fatalf("%d classes: the bias memo hit; the two ladders must differ", nClasses)
+		}
+		t.Logf("%d classes: %.1f allocs/window with the DP on every window", nClasses, allocs)
+		if allocs > allocBoundMemoMiss {
+			t.Errorf("%d classes: memo-miss Publish allocates %.1f objects/window, want <= %d",
+				nClasses, allocs, allocBoundMemoMiss)
+		}
+		perWindow[nClasses] = allocs
+	}
+	if perWindow[20] != perWindow[60] {
+		t.Errorf("memo-miss allocations grow with the class count: %.1f at 20 classes, %.1f at 60",
+			perWindow[20], perWindow[60])
 	}
 }

@@ -128,23 +128,21 @@ func (s OrderPreserving) gridSize() int {
 	return s.GridSize
 }
 
-// candidates returns the bias grid for one class: every integer in
-// [−β^m, β^m] when that is small, otherwise an even sampling that always
-// includes the endpoints and zero. The grid is small (at most gridSize+1
-// entries), so duplicate elimination is a linear scan — no map, no
-// allocation beyond the result slice. This runs once per class per
-// un-memoized Publish, so it is on the publish hot path.
-func (s OrderPreserving) candidates(p Params, t int) []int {
+// appendCandidates appends the bias grid for one class to dst: every
+// integer in [−β^m, β^m] when that is small, otherwise an even sampling that
+// always includes the endpoints and zero. The grid is small (at most
+// gridSize+1 entries) and strictly ascending, so duplicate elimination is a
+// linear scan — no map, no allocation beyond dst's growth.
+func (s OrderPreserving) appendCandidates(dst []int, p Params, t int) []int {
 	bm := p.MaxBias(t)
 	m := s.gridSize()
 	if 2*bm+1 <= m {
-		out := make([]int, 0, 2*bm+1)
 		for b := -bm; b <= bm; b++ {
-			out = append(out, b)
+			dst = append(dst, b)
 		}
-		return out
+		return dst
 	}
-	out := make([]int, 0, m+1)
+	start := len(dst)
 	step := 2 * float64(bm) / float64(m-1)
 	for k := 0; k <= m; k++ {
 		b := 0 // the final pass appends 0, matching the historical grid
@@ -152,23 +150,39 @@ func (s OrderPreserving) candidates(p Params, t int) []int {
 			b = int(math.Round(-float64(bm) + float64(k)*step))
 		}
 		dup := false
-		for _, x := range out {
+		for _, x := range dst[start:] {
 			if x == b {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			out = append(out, b)
+			dst = append(dst, b)
 		}
 	}
 	// Keep the grid sorted after the possible append of 0.
+	out := dst[start:]
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j] < out[j-1]; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	return out
+	return dst
+}
+
+// grids returns every class's candidate grid and the widest grid's length.
+// The grids are carved from one flat slice sized for the worst case, so an
+// un-memoized Publish pays two allocations here whatever the class count.
+func (s OrderPreserving) grids(classes []fec.Class, p Params) (cands [][]int, maxGrid int) {
+	flat := make([]int, 0, len(classes)*(s.gridSize()+1))
+	cands = make([][]int, len(classes))
+	for i, c := range classes {
+		start := len(flat)
+		flat = s.appendCandidates(flat, p, c.Support)
+		cands[i] = flat[start:len(flat):len(flat)]
+		maxGrid = max(maxGrid, len(cands[i]))
+	}
+	return cands, maxGrid
 }
 
 // denseStateLimit is the largest per-tier state space (maxGrid^min(γ, n))
@@ -191,14 +205,7 @@ func (s OrderPreserving) Biases(classes []fec.Class, p Params) []int {
 	if gamma == 0 {
 		return out // no pairwise terms: the zero-bias assignment is optimal
 	}
-	cands := make([][]int, n)
-	maxGrid := 0
-	for i, c := range classes {
-		cands[i] = s.candidates(p, c.Support)
-		if len(cands[i]) > maxGrid {
-			maxGrid = len(cands[i])
-		}
-	}
+	cands, maxGrid := s.grids(classes, p)
 	space := 1
 	for k := 0; k < min(gamma, n); k++ {
 		space *= maxGrid
@@ -209,113 +216,243 @@ func (s OrderPreserving) Biases(classes []fec.Class, p Params) []int {
 	return s.biasesDense(classes, p, cands, maxGrid, out)
 }
 
-// biasesDense is the flat-array DP: states are dense arrays indexed by the
-// encoded candidate-index tuple, with +Inf marking absent states. Iterating
-// keys in ascending order reproduces the sparse implementation's
-// sorted-key processing order exactly, so tie-breaking — first-processed
-// state wins equal costs — and therefore the chosen biases are identical.
-// The whole tier fits a few KiB (the caller guarantees the state space is
-// at most denseStateLimit), and the only allocations are a handful of flat
-// slices sized once per call.
+// biasesDense is the flat-array DP. A state after class i is the tuple of
+// candidate indices ("digits") of classes i−γ+1..i, encoded base maxGrid
+// with the oldest class most significant; cost[key] is the cheapest chain
+// reaching it, and noState marks keys no chain reaches. The caller
+// guarantees the state space is at most denseStateLimit, so a tier fits a
+// few KiB and every allocation is sized once per call.
+//
+// Once a tier is full (i ≥ γ), class i's state key s·G+d keeps the γ−1
+// retained digits s of its predecessor a·G^(γ−1)+s and drops the oldest
+// digit a. The kernel therefore walks the next states suffix by suffix:
+//
+//   - the retained pair costs Σ w·max(0, α+1−(e_d−e_j))² depend only on
+//     (s, d), so they come from per-tier G×G tables, added once per state;
+//   - the dropped pair (class i−γ at digit a against class i at d) costs
+//     nothing for every a ≤ A0(d), because grids are ascending, so the
+//     best predecessor over that prefix is a prefix minimum of the
+//     gathered cost column; only the overlap window A0(d) < a < A1 pays
+//     the pair cost, where A1 bounds the digits whose estimator sits below
+//     the next class's (the only predecessors a chain can reach);
+//   - a suffix whose own estimators are not strictly increasing has no
+//     reachable predecessor and is skipped whole.
+//
+// Every term is an integer w·gap², so int64 sums are exact, as are the
+// sparse path's float64 sums below 2^53, whatever the order of addition.
+// Scanning a in
+// ascending order and replacing only on a strictly smaller cost keeps the
+// smallest predecessor key on ties — the sparse path's sorted-key rule — so
+// both paths choose the identical biases. Back-pointers store only the
+// dropped digit: the rest of the predecessor key is the state's own suffix.
 func (s OrderPreserving) biasesDense(classes []fec.Class, p Params, cands [][]int, maxGrid int, out []int) []int {
+	const noState = math.MaxInt64
 	n := len(classes)
 	gamma := s.gamma()
-	alpha := p.Alpha()
+	alpha1 := int64(p.Alpha() + 1)
 	beam := s.maxStates()
-	inf := math.Inf(1)
+	g := maxGrid
 
 	pow := func(k int) int {
 		r := 1
 		for ; k > 0; k-- {
-			r *= maxGrid
+			r *= g
 		}
 		return r
 	}
-	// prev[offsets[i]+key] is the predecessor key of state `key` after
-	// class i — the backtracking chain, stored as one flat arena.
-	offsets := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + pow(min(gamma, i+1))
-	}
-	prev := make([]int32, offsets[n])
+	space := pow(min(gamma, n)) // states per full tier
+	suffixes := space / g       // retained-digit tuples per full tier
+	cost := make([]int64, space)
+	next := make([]int64, space)
+	// drop[(i−γ)·space+key] is the dropped digit of state key's cheapest
+	// predecessor after class i ≥ γ; tiers below γ have one predecessor.
+	drop := make([]uint16, max(n-gamma, 0)*space)
+	// tab[(r−1)·G²+b·G+d] is the pair cost of class i−r at digit b against
+	// class i at digit d, and est[(r−1)·G+b] class i−r's estimator, for the
+	// γ−1 predecessors a state retains.
+	gg := g * g
+	tab := make([]int64, (gamma-1)*gg)
+	est := make([]int, (gamma-1)*g)
+	dr := make([]int, 2*gamma) // one state's retained digits and their tab rows
+	digs, rows := dr[:gamma], dr[gamma:]
+	ix := make([]int, 4*g)   // per-tier digit bounds and prefix argmins
+	lx := make([]int64, 3*g) // per-suffix cost column, prefix minima, retained sums
+	a0, a1, dlo, pmArg := ix[:g], ix[g:2*g], ix[2*g:3*g], ix[3*g:]
+	col, pm, ret := lx[:g], lx[g:2*g], lx[2*g:]
 
-	spaceFull := pow(min(gamma, n))
-	cost := make([]float64, spaceFull)
-	next := make([]float64, spaceFull)
-	idxs := make([]int, gamma)
-
-	space0 := pow(1)
-	for k := 0; k < space0; k++ {
-		cost[k] = inf
-	}
-	for ci := range cands[0] {
-		cost[ci] = 0
+	fill(cost[:g], noState)
+	for a := range cands[0] {
+		cost[a] = 0
 	}
 
 	for i := 1; i < n; i++ {
+		ci, ti := cands[i], classes[i].Support
+		nd := len(ci)
 		spanPrev := min(gamma, i) // classes i-spanPrev..i-1 are in the predecessor state
-		spacePrev := pow(spanPrev)
 		spaceCur := pow(min(gamma, i+1))
-		for k := 0; k < spaceCur; k++ {
-			next[k] = inf
-		}
-		grow := spanPrev < gamma
-		dropMod := 1
-		if !grow {
-			dropMod = pow(gamma - 1)
-		}
-		live := 0
-		for key := 0; key < spacePrev; key++ {
-			entCost := cost[key]
-			if math.IsInf(entCost, 1) {
-				continue
+		fill(next[:spaceCur], noState)
+		nret := min(spanPrev, gamma-1)
+		for r := 1; r <= nret; r++ {
+			j := i - r
+			w := int64(classes[j].Size() + classes[i].Size())
+			t := tab[(r-1)*gg:]
+			e := est[(r-1)*g : r*g]
+			for b := range e {
+				e[b] = math.MaxInt // past the grid's end: never ascending
 			}
-			// Decode key into the candidate indices of classes
-			// i-spanPrev..i-1 (most significant digit first).
-			k := key
-			for j := spanPrev - 1; j >= 0; j-- {
-				idxs[j] = k % maxGrid
-				k /= maxGrid
-			}
-			eprev := classes[i-1].Support + cands[i-1][idxs[spanPrev-1]]
-			for ci, bi := range cands[i] {
-				if classes[i].Support+bi <= eprev {
-					continue // estimator order violated
+			for b, bj := range cands[j] {
+				ej := classes[j].Support + bj
+				e[b] = ej
+				row := t[b*g : b*g+nd]
+				for d, bd := range ci {
+					row[d] = 0
+					if gap := alpha1 - int64(ti+bd-ej); gap > 0 {
+						row[d] = w * gap * gap
+					}
 				}
-				add := 0.0
-				for off := 0; off < spanPrev; off++ {
-					j := i - spanPrev + off
-					d := (classes[i].Support + bi) - (classes[j].Support + cands[j][idxs[off]])
-					if d >= alpha+1 {
+			}
+		}
+		// dlo[b]: class i's first digit whose estimator exceeds class
+		// i−1's at digit b — estimator order forbids every lower one.
+		tp, d := classes[i-1].Support, 0
+		for b, bp := range cands[i-1] {
+			for d < nd && ti+ci[d] <= tp+bp {
+				d++
+			}
+			dlo[b] = d
+		}
+
+		live := 0
+		if i < gamma {
+			// Growing tier: every predecessor is retained, so each next
+			// state has exactly one predecessor, key/G.
+			for key, spacePrev := 0, pow(spanPrev); key < spacePrev; key++ {
+				c := cost[key]
+				if c == noState {
+					continue
+				}
+				q := key
+				for r := range rows[:nret] {
+					rows[r] = r*gg + (q%g)*g
+					q /= g
+				}
+				lo := dlo[key%g]
+				sumRows(ret[lo:nd], tab, rows[:nret], lo)
+				for d := lo; d < nd; d++ {
+					next[key*g+d] = c + ret[d]
+					live++
+				}
+			}
+		} else {
+			jd := i - gamma // the class whose digit the transition drops
+			dc, td := cands[jd], classes[jd].Support
+			// Its pair with class i is costed inline, not tabulated: only
+			// the overlap window evaluates it, and at γ = 1 a G×G table
+			// could reach 4096² entries.
+			w0 := int64(classes[jd].Size() + classes[i].Size())
+			// a0[d]: how many dropped digits sit at least α+1 below e_d,
+			// i.e. pair with d at zero cost.
+			a := 0
+			for d, bd := range ci {
+				for a < len(dc) && int64(ti+bd-(td+dc[a])) >= alpha1 {
+					a++
+				}
+				a0[d] = a
+			}
+			// a1[x]: how many dropped digits have an estimator below class
+			// i−γ+1's at digit x. Chains are strictly increasing, so no
+			// other predecessor is reachable. At γ = 1, class i−γ+1 is
+			// class i itself and x is the new digit d.
+			nc, tn := cands[jd+1], classes[jd+1].Support
+			a = 0
+			for x, bx := range nc {
+				for a < len(dc) && td+dc[a] < tn+bx {
+					a++
+				}
+				a1[x] = a
+			}
+			tier := drop[jd*space:]
+			clear(digs)
+			for suf := 0; suf < suffixes; suf++ {
+				if suf > 0 {
+					// digs holds suf's retained digits, class i−1's lowest.
+					for r := 0; ; r++ {
+						if digs[r]++; digs[r] < g {
+							break
+						}
+						digs[r] = 0
+					}
+				}
+				// Skip the suffix unless its estimators ascend.
+				ok, eAbove := true, math.MaxInt
+				for r, b := range digs[:nret] {
+					e := est[r*g+b]
+					if e >= eAbove {
+						ok = false
+						break
+					}
+					eAbove = e
+					rows[r] = r*gg + b*g
+				}
+				lo, amax := 0, a1[nd-1] // at γ = 1, a1 is indexed by d
+				if nret > 0 {
+					lo, amax = dlo[digs[0]], a1[digs[nret-1]]
+				}
+				if !ok || lo >= nd {
+					continue
+				}
+				// Gather the predecessors' costs and their prefix minima
+				// (the first digit wins ties).
+				best := int64(noState)
+				for a := 0; a < amax; a++ {
+					c := cost[a*suffixes+suf]
+					col[a] = c
+					if c < best {
+						best, pmArg[a] = c, a
+					} else if a > 0 {
+						pmArg[a] = pmArg[a-1]
+					}
+					pm[a] = best
+				}
+				if best == noState {
+					continue
+				}
+				sumRows(ret[lo:nd], tab, rows[:nret], lo)
+				for d := lo; d < nd; d++ {
+					ahi := amax
+					if gamma == 1 {
+						ahi = a1[d]
+					}
+					best, arg := int64(noState), 0
+					if k := min(a0[d], ahi); k > 0 {
+						best, arg = pm[k-1], pmArg[k-1]
+					}
+					ed := ti + ci[d]
+					for a := a0[d]; a < ahi; a++ {
+						c := col[a]
+						if c == noState {
+							continue
+						}
+						gap := alpha1 - int64(ed-(td+dc[a]))
+						if c += w0 * gap * gap; c < best {
+							best, arg = c, a
+						}
+					}
+					if best == noState {
 						continue
 					}
-					w := float64(classes[j].Size() + classes[i].Size())
-					gap := float64(alpha + 1 - d)
-					add += w * gap * gap
-				}
-				var nkey int
-				if grow {
-					nkey = key*maxGrid + ci
-				} else {
-					nkey = (key%dropMod)*maxGrid + ci
-				}
-				c := entCost + add
-				if math.IsInf(next[nkey], 1) {
+					key := suf*g + d
+					next[key] = best + ret[d]
+					tier[key] = uint16(arg)
 					live++
-					next[nkey] = c
-					prev[offsets[i]+nkey] = int32(key)
-				} else if c < next[nkey] {
-					next[nkey] = c
-					prev[offsets[i]+nkey] = int32(key)
 				}
 			}
 		}
 		if live == 0 {
 			// Cannot happen: the all-zero-bias chain is always feasible
-			// because class supports are strictly increasing. Guard anyway.
-			zero := indexOf(cands[i], 0)
-			next[zero] = 0
-			prev[offsets[i]+zero] = 0
+			// because class supports are strictly increasing. Guard anyway;
+			// the zeroed back-pointer names predecessor key 0.
+			next[indexOf(ci, 0)] = 0
 			live = 1
 		}
 		// Beam bound: keep only the cheapest states (ties by key, matching
@@ -323,7 +460,7 @@ func (s OrderPreserving) biasesDense(classes []fec.Class, p Params, cands [][]in
 		if live > beam {
 			keys := make([]int, 0, live)
 			for k := 0; k < spaceCur; k++ {
-				if !math.IsInf(next[k], 1) {
+				if next[k] != noState {
 					keys = append(keys, k)
 				}
 			}
@@ -335,27 +472,50 @@ func (s OrderPreserving) biasesDense(classes []fec.Class, p Params, cands [][]in
 				return keys[a] < keys[b]
 			})
 			for _, k := range keys[beam:] {
-				next[k] = inf
+				next[k] = noState
 			}
 		}
 		cost, next = next, cost
 	}
 
 	// Pick the cheapest final state (smallest key on ties) and backtrack.
-	bestKey := 0
-	best := inf
-	for key := 0; key < pow(min(gamma, n)); key++ {
-		if cost[key] < best {
-			best = cost[key]
-			bestKey = key
+	key, best := 0, int64(noState)
+	for k := 0; k < space; k++ {
+		if cost[k] < best {
+			key, best = k, cost[k]
 		}
 	}
-	key := bestKey
 	for i := n - 1; i >= 0; i-- {
-		out[i] = cands[i][key%maxGrid] // the last tuple element is the low digit
-		key = int(prev[offsets[i]+key])
+		out[i] = cands[i][key%g] // the newest class is the low digit
+		if i >= gamma {
+			key = int(drop[(i-gamma)*space+key])*suffixes + key/g
+		} else {
+			key /= g
+		}
 	}
 	return out
+}
+
+// fill sets every element of xs to v, doubling a copied prefix.
+func fill(xs []int64, v int64) {
+	if len(xs) == 0 {
+		return
+	}
+	xs[0] = v
+	for k := 1; k < len(xs); k *= 2 {
+		copy(xs[k:], xs[:k])
+	}
+}
+
+// sumRows sets dst[k] to the sum over offs of tab[off+lo+k]: a state's
+// retained pair costs for the new digits lo, lo+1, ….
+func sumRows(dst, tab []int64, offs []int, lo int) {
+	clear(dst)
+	for _, off := range offs {
+		for k, c := range tab[off+lo : off+lo+len(dst)] {
+			dst[k] += c
+		}
+	}
 }
 
 // biasesSparse is the historical map-based DP, kept for state spaces too
@@ -538,13 +698,27 @@ func (h Hybrid) Biases(classes []fec.Class, p Params) []int {
 	return out
 }
 
+// maxGamma is the largest DP lookback SchemeByName accepts. The sparse DP
+// packs γ base-G candidate indices into a uint64 state key, which wraps once
+// G^γ > 2^64 (γ ≥ 18 on the default 13-point grid) and then decodes digits
+// beyond a class's grid. 13^8 < 2^30 stays far inside, and the bound still
+// covers the paper's Fig. 6 sweep (γ ≤ 6).
+const maxGamma = 8
+
 // SchemeByName builds a bias scheme from its CLI/control-plane spelling:
-// "basic", "order"/"op" (with lookback gamma), "ratio"/"rp", or "hybrid"
-// (λ = lambda blending order against ratio). It is the single parser behind
-// cmd/butterfly's -scheme flag and the sanitization server's per-stream
-// stream configs, so the two surfaces cannot drift.
+// "basic", "order"/"op" (with lookback gamma ≤ maxGamma), "ratio"/"rp", or
+// "hybrid" (λ = lambda blending order against ratio). It is the single
+// parser behind cmd/butterfly's -scheme and -gamma flags and the
+// sanitization server's per-stream configs, so the two surfaces cannot drift.
 func SchemeByName(name string, lambda float64, gamma int) (Scheme, error) {
-	switch strings.ToLower(name) {
+	name = strings.ToLower(name)
+	switch name {
+	case "order", "op", "hybrid", "":
+		if gamma > maxGamma {
+			return nil, fmt.Errorf("core: gamma %d above the maximum lookback %d", gamma, maxGamma)
+		}
+	}
+	switch name {
 	case "basic":
 		return Basic{}, nil
 	case "order", "op":

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/fec"
 	"repro/internal/itemset"
+	"repro/internal/mining/moment"
 	"repro/internal/rng"
 )
 
@@ -200,7 +204,7 @@ func TestOrderPreservingEdgeCases(t *testing.T) {
 func TestOrderPreservingCandidatesIncludeAnchors(t *testing.T) {
 	p := Params{Epsilon: 0.05, Delta: 0.2, MinSupport: 25, VulnSupport: 5}
 	s := OrderPreserving{GridSize: 7}
-	c := s.candidates(p, 500) // βm large, grid sampled
+	c := s.appendCandidates(nil, p, 500) // βm large, grid sampled
 	bm := p.MaxBias(500)
 	has := func(v int) bool {
 		for _, x := range c {
@@ -267,76 +271,129 @@ func TestSchemeNames(t *testing.T) {
 }
 
 // TestOrderPreservingDenseSparseAgree pins the flat-array DP to the sparse
-// map DP: for random FEC ladders and a spread of γ/grid settings, both paths
-// must choose the identical bias assignment — including cost ties, which
-// both must resolve toward the smallest encoded state key. This is what
-// keeps published bytes stable across the denseStateLimit boundary.
+// map DP: both paths must choose the identical bias assignment — including
+// cost ties, which both must resolve toward the smallest predecessor key.
+// This is what keeps published bytes stable across the denseStateLimit
+// boundary. Inputs cover every γ and beam the dense path accepts, on tight
+// ladders (uncertainty regions overlap several neighbours, so the kernel's
+// overlap windows are wide) and spread ones, plus the real Moment ladders of
+// the optimizer-heavy stream configuration the kernel is tuned for.
 func TestOrderPreservingDenseSparseAgree(t *testing.T) {
-	src := rng.New(20260808)
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + src.Intn(12)
-		classes := make([]fec.Class, n)
-		sup := 20 + src.Intn(10)
-		for i := range classes {
-			size := 1 + src.Intn(4)
-			members := make([]itemset.Itemset, size)
-			for j := range members {
-				members[j] = itemset.New(itemset.Item(i*10 + j))
-			}
-			classes[i] = fec.Class{Support: sup, Members: members}
-			sup += 1 + src.Intn(40)
+	// agree compares the two paths, or reports false when the state space
+	// is beyond the dense path (only the sparse path runs those).
+	agree := func(t *testing.T, what string, s OrderPreserving, classes []fec.Class, p Params) bool {
+		t.Helper()
+		cands, maxGrid := s.grids(classes, p)
+		space := 1
+		for k := 0; k < min(s.gamma(), len(classes)); k++ {
+			space *= maxGrid
 		}
-		p := Params{Epsilon: 0.01 + src.Float64()*0.1, Delta: 0.4, MinSupport: 10, VulnSupport: 5}
-		gamma := 1 + src.Intn(3)
-		grid := []int{0, 5, 13}[src.Intn(3)]
-		s := OrderPreserving{Gamma: gamma, GridSize: grid}
-		cands := make([][]int, n)
-		maxGrid := 0
-		for i, c := range classes {
-			cands[i] = s.candidates(p, c.Support)
-			if len(cands[i]) > maxGrid {
-				maxGrid = len(cands[i])
+		if space > denseStateLimit {
+			return false
+		}
+		dense := s.biasesDense(classes, p, cands, maxGrid, make([]int, len(classes)))
+		sparse := s.biasesSparse(classes, p, cands, maxGrid, make([]int, len(classes)))
+		if !slices.Equal(dense, sparse) {
+			t.Fatalf("%s (%+v): dense %v != sparse %v", what, s, dense, sparse)
+		}
+		return true
+	}
+	beams := []int{0, 3, 20, 100}
+
+	t.Run("random", func(t *testing.T) {
+		src := rng.New(20260808)
+		for trial, ran := 0, 0; ran < 3000; trial++ {
+			n := 1 + src.Intn(16)
+			maxGap := 40
+			if src.Intn(2) == 0 {
+				maxGap = 3 // tight: supports 1–3 apart
+			}
+			classes := make([]fec.Class, n)
+			sup := 20 + src.Intn(10)
+			for i := range classes {
+				members := make([]itemset.Itemset, 1+src.Intn(6))
+				for j := range members {
+					members[j] = itemset.New(itemset.Item(i*10 + j))
+				}
+				classes[i] = fec.Class{Support: sup, Members: members}
+				sup += 1 + src.Intn(maxGap)
+			}
+			p := Params{Epsilon: 0.01 + src.Float64()*0.1, Delta: 0.4, MinSupport: 10, VulnSupport: 5}
+			s := OrderPreserving{
+				Gamma:     1 + src.Intn(4),
+				GridSize:  []int{0, 3, 5, 7}[src.Intn(4)],
+				MaxStates: beams[src.Intn(len(beams))],
+			}
+			if agree(t, fmt.Sprintf("trial %d n=%d gap≤%d", trial, n, maxGap), s, classes, p) {
+				ran++
 			}
 		}
-		dense := s.biasesDense(classes, p, cands, maxGrid, make([]int, n))
-		sparse := s.biasesSparse(classes, p, cands, maxGrid, make([]int, n))
-		for i := range dense {
-			if dense[i] != sparse[i] {
-				t.Fatalf("trial %d (γ=%d grid=%d n=%d): dense %v != sparse %v",
-					trial, gamma, grid, n, dense, sparse)
+	})
+
+	t.Run("optimizer-heavy", func(t *testing.T) {
+		p := Params{Epsilon: 0.1, Delta: 0.4, MinSupport: 15, VulnSupport: 5}
+		for w, classes := range momentLadders(2000, 15, 20, 30) {
+			for gamma := 1; gamma <= 3; gamma++ {
+				for _, beam := range beams {
+					what := fmt.Sprintf("window %d (%d classes) γ=%d", w, len(classes), gamma)
+					if !agree(t, what, OrderPreserving{Gamma: gamma, MaxStates: beam}, classes, p) {
+						t.Fatalf("%s: state space beyond the dense path", what)
+					}
+				}
+			}
+		}
+	})
+}
+
+// momentLadders slides a Moment miner over the WebView-like stream (pattern
+// seed 2008) and returns the FEC ladders of `windows` consecutive
+// publications, one every `every` records after the first full window.
+func momentLadders(window, support, every, windows int) [][]fec.Class {
+	gen := data.WebViewLike(2008)
+	m := moment.New(window, support)
+	var out [][]fec.Class
+	for pos := 1; len(out) < windows; pos++ {
+		m.Push(gen.Next())
+		if pos >= window && (pos-window)%every == 0 {
+			out = append(out, fec.Partition(m.Frequent()))
+		}
+	}
+	return out
+}
+
+// TestSchemeByNameBoundsGamma pins the lookback bound at the one parser
+// behind -gamma and the create request's "gamma" field. The sparse DP packs
+// γ base-G digits into a uint64 state key, which wraps once G^γ > 2^64 — γ
+// ≥ 18 on the default 13-point grid — and then decodes digits beyond a
+// class's grid: unbounded, γ=18 on a real ladder panicked with an index out
+// of range. Every γ the parser accepts must run cleanly on that ladder.
+func TestSchemeByNameBoundsGamma(t *testing.T) {
+	classes := momentLadders(2000, 15, 20, 1)[0]
+	p := Params{Epsilon: 0.1, Delta: 0.4, MinSupport: 15, VulnSupport: 5}
+	for _, gamma := range []int{-1, 1, 2, 3, 6, maxGamma, maxGamma + 1, 17, 18} {
+		for _, name := range []string{"order", "hybrid"} {
+			s, err := SchemeByName(name, 0.4, gamma)
+			if err != nil {
+				if gamma <= maxGamma {
+					t.Errorf("%s γ=%d rejected: %v", name, gamma, err)
+				}
+				continue
+			}
+			if name == "order" {
+				b := s.Biases(classes, p)
+				checkWithinMaxBias(t, fmt.Sprintf("γ=%d", gamma), classes, p, b)
+				for i := 1; i < len(classes); i++ {
+					if classes[i].Support+b[i] <= classes[i-1].Support+b[i-1] {
+						t.Fatalf("γ=%d: estimator order violated at class %d", gamma, i)
+					}
+				}
+			}
+			if gamma > maxGamma {
+				t.Errorf("%s γ=%d accepted, want an error above maxGamma=%d", name, gamma, maxGamma)
 			}
 		}
 	}
-}
-
-// TestOrderPreservingSmallBeamDenseSparseAgree exercises the beam bound in
-// both DP paths (MaxStates far below the state space) and pins them equal.
-func TestOrderPreservingSmallBeamDenseSparseAgree(t *testing.T) {
-	src := rng.New(7)
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + src.Intn(8)
-		classes := make([]fec.Class, n)
-		sup := 25
-		for i := range classes {
-			classes[i] = fec.Class{Support: sup, Members: []itemset.Itemset{itemset.New(itemset.Item(i))}}
-			sup += 1 + src.Intn(25)
-		}
-		p := Params{Epsilon: 0.05, Delta: 0.4, MinSupport: 10, VulnSupport: 5}
-		s := OrderPreserving{Gamma: 2, MaxStates: 3}
-		cands := make([][]int, n)
-		maxGrid := 0
-		for i, c := range classes {
-			cands[i] = s.candidates(p, c.Support)
-			if len(cands[i]) > maxGrid {
-				maxGrid = len(cands[i])
-			}
-		}
-		dense := s.biasesDense(classes, p, cands, maxGrid, make([]int, n))
-		sparse := s.biasesSparse(classes, p, cands, maxGrid, make([]int, n))
-		for i := range dense {
-			if dense[i] != sparse[i] {
-				t.Fatalf("trial %d: beam-bounded dense %v != sparse %v", trial, dense, sparse)
-			}
-		}
+	if _, err := SchemeByName("ratio", 0, 18); err != nil {
+		t.Errorf("ratio ignores γ, but γ=18 was rejected: %v", err)
 	}
 }

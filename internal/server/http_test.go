@@ -57,6 +57,8 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"POST", "/v1/streams", `{"id":"bad id!"}`, http.StatusBadRequest},
 		{"POST", "/v1/streams", `{"id":"negdepth","queue_depth":-1}`, http.StatusBadRequest},
 		{"POST", "/v1/streams", `{"id":"noscheme","window":10,"scheme":"nope"}`, http.StatusBadRequest},
+		{"POST", "/v1/streams", `{"id":"biggamma","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"gamma":18}`, http.StatusBadRequest},
+		{"POST", "/v1/streams", `{"id":"okgamma","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"gamma":8}`, http.StatusCreated},
 		{"GET", "/v1/streams/dup/windows?from=abc", "", http.StatusBadRequest},
 		{"GET", "/v1/streams/dup/trace", "", http.StatusNotFound}, // created without trace_windows
 	} {
