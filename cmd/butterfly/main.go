@@ -383,6 +383,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	// in-flight windows drain and a partial summary prints; a second signal
 	// cancels the run outright.
 	drain := pipeline.NewDrainSource(src)
+	var runSrc pipeline.RecordSource = drain
+	if resumeSnap != nil {
+		// The input is re-read from its first record, and the resumed run
+		// starts at the snapshot: drop the prefix the snapshot covers.
+		runSrc = pipeline.SkipSource(drain, int(resumeSnap.Records))
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sigc := make(chan os.Signal, 2)
@@ -407,7 +413,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	// reuses the previous window's storage (the dump file is written and
 	// synced before the callback returns, so nothing aliases it afterwards).
 	var entryBuf []data.PublishedEntry
-	rep, err := pipe.RunContext(ctx, drain, func(w pipeline.Window) error {
+	rep, err := pipe.RunContext(ctx, runSrc, func(w pipeline.Window) error {
 		printWindow(stdout, w.Output, vocab, *top, w.Position, *window)
 		if *dumpDir != "" {
 			var err error

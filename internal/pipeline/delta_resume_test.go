@@ -33,15 +33,15 @@ func deltaConfig(workers int, store *checkpoint.Store, ckptEvery int) pipeline.C
 // TestDeltaCheckpointingIsTransparent: switching from all-full generations
 // to delta chains changes no published byte — and actually writes chains.
 func TestDeltaCheckpointingIsTransparent(t *testing.T) {
-	records := testRecords(t, resumeRecords)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
 	for _, workers := range []int{1, 4} {
 		store, err := checkpoint.NewStore(t.TempDir(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := runKilled(t, deltaConfig(workers, store, 1), records, resumeWindows)
+		got := runKilled(t, deltaConfig(workers, store, 1), in, resumeWindows)
 		sameTail(t, fmt.Sprintf("delta-checkpointed vs plain, workers=%d", workers),
-			got, reference(t, workers, records))
+			got, reference(t, workers, in))
 		segs, err := filepath.Glob(filepath.Join(store.Dir(), "delta-*.bfdl"))
 		if err != nil || len(segs) == 0 {
 			t.Fatalf("no delta segments written: %v, %v", segs, err)
@@ -55,7 +55,7 @@ func TestDeltaCheckpointingIsTransparent(t *testing.T) {
 // the tail must be byte-identical to the uninterrupted reference at the
 // serial tier and two chunked worker counts.
 func TestKillAndResumeMixedChainsByteIdentical(t *testing.T) {
-	records := testRecords(t, resumeRecords)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
 	step := 1
 	if testing.Short() {
 		step = 7
@@ -63,21 +63,21 @@ func TestKillAndResumeMixedChainsByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ref := reference(t, workers, records)
+			ref := reference(t, workers, in)
 			chainResumes := 0
 			for kill := 1; kill <= resumeWindows; kill += step {
 				store, err := checkpoint.NewStore(t.TempDir(), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				head := runKilled(t, deltaConfig(workers, store, 1), records, kill)
+				head := runKilled(t, deltaConfig(workers, store, 1), in, kill)
 				sameTail(t, fmt.Sprintf("kill=%d head", kill), head, ref[:kill])
 				if _, det, err := store.LatestDetail(); err != nil {
 					t.Fatal(err)
 				} else if det.Frames > 0 {
 					chainResumes++
 				}
-				tail := resumeRun(t, deltaConfig(workers, store, 1), store, records)
+				tail := resumeRun(t, deltaConfig(workers, store, 1), store, in)
 				sameTail(t, fmt.Sprintf("kill=%d resumed tail", kill), tail, ref[kill:])
 			}
 			if chainResumes == 0 {
@@ -92,8 +92,8 @@ func TestKillAndResumeMixedChainsByteIdentical(t *testing.T) {
 // (torn frame), or before an anchor full's rename. In every case the
 // previous durable generation carries the resume, byte-identically.
 func TestCrashDuringDeltaChainThenResume(t *testing.T) {
-	records := testRecords(t, resumeRecords)
-	ref := reference(t, 2, records)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
+	ref := reference(t, 2, in)
 	// With CheckpointEvery=1 and CheckpointFullEvery=4, generations
 	// 1, 5, 9, ... are anchor fulls and the rest delta frames.
 	cases := []struct {
@@ -119,7 +119,7 @@ func TestCrashDuringDeltaChainThenResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			delivered := 0
-			_, err = p.RunContext(context.Background(), pipeline.SliceSource(records),
+			_, err = p.RunContext(context.Background(), pipeline.SliceSource(in.records),
 				func(pipeline.Window) error { delivered++; return nil })
 			if !errors.Is(err, checkpoint.ErrInjectedCrash) {
 				t.Fatalf("run: %v, want the injected crash", err)
@@ -143,7 +143,7 @@ func TestCrashDuringDeltaChainThenResume(t *testing.T) {
 			if wantFrames := (tc.dieOnSave - 1 - 1) % resumeFullEvery; det.Frames != wantFrames {
 				t.Fatalf("recovered %d chain frames, want %d", det.Frames, wantFrames)
 			}
-			tail := resumeRun(t, deltaConfig(2, store, 1), store, records)
+			tail := resumeRun(t, deltaConfig(2, store, 1), store, in)
 			sameTail(t, tc.point, tail, ref[tc.dieOnSave-1:])
 		})
 	}
@@ -153,18 +153,18 @@ func TestCrashDuringDeltaChainThenResume(t *testing.T) {
 // run resumes byte-identically under workers=8 — the snapshot reconstructed
 // from anchor + frames is worker-count-portable like a full snapshot.
 func TestDeltaResumeAcrossChunkedWorkerCounts(t *testing.T) {
-	records := testRecords(t, resumeRecords)
-	ref := reference(t, 2, records)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
+	ref := reference(t, 2, in)
 	const kill = 20 // generation 20 is a chain tip (3 frames past full@17)
 	store, err := checkpoint.NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runKilled(t, deltaConfig(2, store, 1), records, kill)
+	runKilled(t, deltaConfig(2, store, 1), in, kill)
 	if _, det, err := store.LatestDetail(); err != nil || det.Frames == 0 {
 		t.Fatalf("kill point did not land on a chain tip: %+v, %v", det, err)
 	}
-	tail := resumeRun(t, deltaConfig(8, store, 1), store, records)
+	tail := resumeRun(t, deltaConfig(8, store, 1), store, in)
 	sameTail(t, "workers 2 -> 8 through a chain", tail, ref[kill:])
 }
 
@@ -173,17 +173,17 @@ func TestDeltaResumeAcrossChunkedWorkerCounts(t *testing.T) {
 // cut and the re-published overlap must be byte-identical (§VI through a
 // reconstructed snapshot).
 func TestSparseDeltaCheckpointRepublishesOverlapIdentically(t *testing.T) {
-	records := testRecords(t, resumeRecords)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
 	for _, workers := range []int{1, 4} {
-		ref := reference(t, workers, records)
+		ref := reference(t, workers, in)
 		for _, kill := range []int{7, 11, 32} {
 			store, err := checkpoint.NewStore(t.TempDir(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			runKilled(t, deltaConfig(workers, store, 3), records, kill)
+			runKilled(t, deltaConfig(workers, store, 3), in, kill)
 			lastCkpt := (kill / 3) * 3
-			tail := resumeRun(t, deltaConfig(workers, store, 3), store, records)
+			tail := resumeRun(t, deltaConfig(workers, store, 3), store, in)
 			label := fmt.Sprintf("workers=%d kill=%d (generation at %d)", workers, kill, lastCkpt)
 			sameTail(t, label, tail, ref[lastCkpt:])
 		}

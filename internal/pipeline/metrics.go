@@ -118,7 +118,7 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 			"Bytes written per persisted checkpoint generation, by kind.",
 			ckptByteBuckets, telemetry.Labels{"kind": "delta"}),
 		resumeDur: reg.Gauge(MetricResumeSeconds,
-			"Wall time of the last checkpoint restore, including source fast-forward.", nil),
+			"Wall time of the last checkpoint restore (window rebuild + publisher restore).", nil),
 		windowSets: reg.Gauge(MetricWindowSets,
 			"Published itemsets in the most recent window.", nil),
 	}

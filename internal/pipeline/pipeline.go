@@ -129,13 +129,16 @@ type Config struct {
 	// hook tests use to install crash plans; CLI callers use CheckpointDir.
 	Checkpoints *checkpoint.Store
 	// Resume, when non-nil, restores the run from a snapshot before any
-	// stage starts: the publisher state is restored, the sliding window is
-	// rebuilt from the snapshot's buffer, and the source is fast-forwarded
-	// past the Records already consumed. The source must replay the SAME
-	// record sequence from its beginning (re-opened file, re-seeded
-	// generator); the run then publishes the remaining windows
-	// byte-identically to an uninterrupted run. The snapshot's
-	// configuration fingerprint must match this Config.
+	// stage starts: the publisher state is restored and the sliding window
+	// is rebuilt from the snapshot's buffer. The source must yield the
+	// records AFTER the snapshot — everything past its Records-th
+	// well-formed record, malformed lines included; a source that
+	// re-presents the stream from its first record drops the prefix with
+	// FastForward (or SkipSource) first. The run continues the snapshot's
+	// record and bad-record counts, so the Report, the record counters and
+	// the MaxBadRecords budget span the whole stream, and it publishes the
+	// remaining windows byte-identically to an uninterrupted run. The
+	// snapshot's configuration fingerprint must match this Config.
 	Resume *checkpoint.Snapshot
 
 	// Metrics, when non-nil, receives the run's telemetry: per-stage
@@ -417,10 +420,10 @@ func (p *Pipeline) RunContext(ctx context.Context, src RecordSource, emit func(W
 	}
 	if rs := p.cfg.Resume; rs != nil {
 		// Restore before any stage starts: rebuild the miner from the
-		// snapshot's window buffer, restore the publisher, and let the mine
-		// loop fast-forward the source past the consumed prefix. The resume
-		// gauge spans from here to the end of that fast-forward.
-		run.resumeStart = time.Now()
+		// snapshot's window buffer and restore the publisher. The source
+		// already starts past the snapshot, so the run's counts continue
+		// from it. The resume gauge and span cover exactly this restore.
+		t0 := time.Now()
 		if err := p.cfg.verifyResume(rs); err != nil {
 			return nil, err
 		}
@@ -431,6 +434,9 @@ func (p *Pipeline) RunContext(ctx context.Context, src RecordSource, emit func(W
 			return nil, err
 		}
 		run.resume = rs
+		run.seedCounts(rs)
+		run.resumeStart, run.resumeDur = t0, time.Since(t0)
+		run.metrics.observeResume(run.resumeDur)
 	}
 	if run.ckpts != nil && run.fullEvery > 1 {
 		// Delta generations serialize only the cache entries touched since
@@ -487,23 +493,21 @@ func (p *Pipeline) RunContext(ctx context.Context, src RecordSource, emit func(W
 // when the stream ends between publication points, matching the historical
 // at-end release of the materialized path.
 //
-// On resume, the loop fast-forwards: the first resume.Records well-formed
-// records are pulled and discarded — their effect already lives in the
-// restored window buffer — which replays the exact bad-record and
-// vocabulary-interning history of the pre-crash run, so the Report counts
-// and every interned item id match the uninterrupted run.
+// On resume, the loop starts at the snapshot's position: the source yields
+// the records after it (see Config.Resume), and the first traced window
+// carries the restore as its resume span.
 func (r *runState) mineLoop(stream *core.Stream, src RecordSource, mined chan<- minedWindow) {
-	pos := 0               // stream position of the last well-formed record
-	skip := 0              // records already absorbed into the restored window
-	lastPub := 0           // position of the last snapshot handed to perturb
-	published := uint64(0) // publication index, drives the checkpoint schedule
-	if rs := r.resume; rs != nil {
-		skip = int(rs.Records)
-		lastPub = skip
-		published = rs.Published
-	}
+	pos := 0                  // stream position of the last well-formed record
+	lastPub := 0              // position of the last snapshot handed to perturb
+	published := uint64(0)    // publication index, drives the checkpoint schedule
 	windowStart := time.Now() // start of the current window's ingest+mine span
 	tw := r.tracer.StartWindow()
+	if rs := r.resume; rs != nil {
+		pos = int(rs.Records)
+		lastPub = pos
+		published = rs.Published
+		tw.Add(trace.KindResume, r.resumeStart, r.resumeDur)
+	}
 	var srcDur time.Duration // time spent inside the source this window
 	var srcRecords int64     // well-formed records ingested this window
 	for {
@@ -529,16 +533,6 @@ func (r *runState) mineLoop(stream *core.Stream, src RecordSource, mined chan<- 
 		pos++
 		r.addRecord()
 		srcRecords++
-		if pos <= skip {
-			if pos == skip {
-				// Fast-forward complete: the resume gauge covers restore
-				// plus the replayed prefix, and the first traced window
-				// carries the matching resume span.
-				r.metrics.observeResume(time.Since(r.resumeStart))
-				tw.Add(trace.KindResume, r.resumeStart, time.Since(r.resumeStart))
-			}
-			continue
-		}
 		stream.Push(rec)
 		if r.trackAppend {
 			r.pushAppended(rec)
@@ -570,11 +564,6 @@ func (r *runState) mineLoop(stream *core.Stream, src RecordSource, mined chan<- 
 		lastPub = pos
 	}
 	if r.ctx.Err() != nil {
-		return
-	}
-	if pos < skip {
-		r.fail(fmt.Errorf("pipeline: source ended after %d records, before the resume position %d — "+
-			"resume needs a source that replays the original stream", pos, skip))
 		return
 	}
 	if !stream.Ready() {

@@ -11,11 +11,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/faultinject"
 	"repro/internal/itemset"
 	"repro/internal/pipeline"
@@ -54,21 +57,77 @@ func renderWindow(w pipeline.Window) string {
 	return sb.String()
 }
 
+// resumeInput is a resume fixture stream: the records, with a malformed
+// line spliced in after every badEvery-th record (0: none).
+type resumeInput struct {
+	records  []itemset.Itemset
+	badEvery int
+}
+
+// withBadLines is the fixture's malformed-line input: every 7th record is
+// followed by a bad line (42 in the 300-record fixture, none after the
+// last record), interleaving with the publish-every-4 schedule.
+func withBadLines(records []itemset.Itemset) resumeInput {
+	return resumeInput{records: records, badEvery: 7}
+}
+
+// badBefore is how many malformed lines precede the n-th record — the
+// BadRecords of a snapshot cut at record n.
+func (in resumeInput) badBefore(n uint64) uint64 {
+	if in.badEvery == 0 || n == 0 {
+		return 0
+	}
+	return (n - 1) / uint64(in.badEvery)
+}
+
+// sourceAfter delivers the stream past its first n records: the records
+// after the n-th, and the malformed line right after it if one is due —
+// what a resumed run's source must yield (Config.Resume).
+func (in resumeInput) sourceAfter(n int) pipeline.RecordSource {
+	return &badLineSource{in: in, next: n,
+		badDue: in.badEvery > 0 && n > 0 && n%in.badEvery == 0}
+}
+
+// badLineSource yields an input's records, each malformed line surfacing
+// as the *data.ParseError a ReaderSource would report.
+type badLineSource struct {
+	in     resumeInput
+	next   int // index of the next record
+	badDue bool
+}
+
+func (s *badLineSource) Next() (itemset.Itemset, error) {
+	if s.badDue {
+		s.badDue = false
+		return itemset.Itemset{}, &data.ParseError{Token: "bad\x00token", Err: data.ErrTokenNUL}
+	}
+	if s.next >= len(s.in.records) {
+		return itemset.Itemset{}, io.EOF
+	}
+	rec := s.in.records[s.next]
+	s.next++
+	s.badDue = s.in.badEvery > 0 && s.next%s.in.badEvery == 0
+	return rec, nil
+}
+
 // errKilled is the permanent sink failure standing in for the process dying
 // right after a window boundary.
 var errKilled = errors.New("simulated kill")
 
-// runKilled drives cfg over records through a sink that accepts the first
+// runKilled drives cfg over the input through a sink that accepts the first
 // kill windows and then dies. It returns the windows delivered before death;
 // kill >= the total window count delivers everything without an error.
-func runKilled(t *testing.T, cfg pipeline.Config, records []itemset.Itemset, kill int) []string {
+func runKilled(t *testing.T, cfg pipeline.Config, in resumeInput, kill int) []string {
 	t.Helper()
+	if in.badEvery > 0 {
+		cfg.MaxBadRecords = -1
+	}
 	p, err := pipeline.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []string
-	_, err = p.RunContext(context.Background(), pipeline.SliceSource(records),
+	_, err = p.RunContext(context.Background(), in.sourceAfter(0),
 		func(w pipeline.Window) error {
 			if len(out) >= kill {
 				return errKilled
@@ -90,8 +149,10 @@ func runKilled(t *testing.T, cfg pipeline.Config, records []itemset.Itemset, kil
 }
 
 // resumeRun loads the newest snapshot from store and continues the run over
-// a fresh re-opened source, returning the windows it publishes.
-func resumeRun(t *testing.T, cfg pipeline.Config, store *checkpoint.Store, records []itemset.Itemset) []string {
+// a source holding the stream past it, returning the windows it publishes.
+// The resumed run's counts and every checkpoint it writes must match the
+// uninterrupted run's.
+func resumeRun(t *testing.T, cfg pipeline.Config, store *checkpoint.Store, in resumeInput) []string {
 	t.Helper()
 	snap, _, err := store.Latest()
 	if err != nil {
@@ -100,13 +161,26 @@ func resumeRun(t *testing.T, cfg pipeline.Config, store *checkpoint.Store, recor
 	if snap == nil {
 		t.Fatal("no usable checkpoint to resume from")
 	}
+	if want := in.badBefore(snap.Records); snap.BadRecords != want {
+		t.Fatalf("snapshot at record %d counts %d bad records, want %d", snap.Records, snap.BadRecords, want)
+	}
+	var badSaves []checkpoint.Saved
+	store.OnSave = func(sv checkpoint.Saved) {
+		if sv.BadRecords != in.badBefore(sv.Records) {
+			badSaves = append(badSaves, sv)
+		}
+	}
+	defer func() { store.OnSave = nil }()
+	if in.badEvery > 0 {
+		cfg.MaxBadRecords = -1
+	}
 	cfg.Resume = snap
 	p, err := pipeline.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []string
-	rep, err := p.RunContext(context.Background(), pipeline.SliceSource(records),
+	rep, err := p.RunContext(context.Background(), in.sourceAfter(int(snap.Records)),
 		func(w pipeline.Window) error {
 			out = append(out, renderWindow(w))
 			return nil
@@ -114,19 +188,26 @@ func resumeRun(t *testing.T, cfg pipeline.Config, store *checkpoint.Store, recor
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The replayed prefix is part of the resumed run's accounting, so the
-	// report matches an uninterrupted run's view of the stream.
+	// The resumed run continues the snapshot's counts, so the report
+	// matches an uninterrupted run's view of the stream.
 	if rep.Records != resumeRecords {
 		t.Fatalf("resumed report counts %d records, want %d", rep.Records, resumeRecords)
+	}
+	if want := int(in.badBefore(resumeRecords)); rep.BadRecords != want {
+		t.Fatalf("resumed report counts %d bad records, want %d", rep.BadRecords, want)
+	}
+	for _, sv := range badSaves {
+		t.Errorf("resumed run checkpointed record %d with %d bad records, want %d",
+			sv.Records, sv.BadRecords, in.badBefore(sv.Records))
 	}
 	return out
 }
 
 // reference runs cfg uninterrupted with no checkpointing and returns all
 // windows.
-func reference(t *testing.T, workers int, records []itemset.Itemset) []string {
+func reference(t *testing.T, workers int, in resumeInput) []string {
 	t.Helper()
-	ref := runKilled(t, resumeConfig(workers, nil, 0), records, resumeWindows)
+	ref := runKilled(t, resumeConfig(workers, nil, 0), in, resumeWindows)
 	if len(ref) != resumeWindows {
 		t.Fatalf("fixture published %d windows, want %d", len(ref), resumeWindows)
 	}
@@ -148,15 +229,15 @@ func sameTail(t *testing.T, label string, got, want []string) {
 // TestCheckpointingIsTransparent: turning checkpointing on changes no
 // published byte.
 func TestCheckpointingIsTransparent(t *testing.T) {
-	records := testRecords(t, resumeRecords)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
 	for _, workers := range []int{1, 4} {
 		store, err := checkpoint.NewStore(t.TempDir(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := runKilled(t, resumeConfig(workers, store, 1), records, resumeWindows)
+		got := runKilled(t, resumeConfig(workers, store, 1), in, resumeWindows)
 		sameTail(t, fmt.Sprintf("checkpointed vs plain, workers=%d", workers),
-			got, reference(t, workers, records))
+			got, reference(t, workers, in))
 		gens, err := store.Generations()
 		if err != nil || len(gens) == 0 {
 			t.Fatalf("no generations written: %v, %v", gens, err)
@@ -167,28 +248,88 @@ func TestCheckpointingIsTransparent(t *testing.T) {
 // TestKillAndResumeByteIdentical is the acceptance sweep: kill the run after
 // EVERY checkpointed window boundary of the 61-window fixture and resume;
 // the resumed tail must be byte-identical to the uninterrupted reference, at
-// the serial tier and two chunked worker counts.
+// the serial tier and two chunked worker counts. The malformed-line input
+// also pins the resumed bad-record count, and every snapshot the resumed run
+// writes, to the uninterrupted run's (see resumeRun).
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	records := testRecords(t, resumeRecords)
 	step := 1
 	if testing.Short() {
 		step = 7
 	}
+	inputs := []struct {
+		name string
+		in   resumeInput
+	}{
+		{"clean", resumeInput{records: records}},
+		{"bad-lines", withBadLines(records)},
+	}
 	for _, workers := range []int{1, 2, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ref := reference(t, workers, records)
-			for kill := 1; kill <= resumeWindows; kill += step {
-				store, err := checkpoint.NewStore(t.TempDir(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				head := runKilled(t, resumeConfig(workers, store, 1), records, kill)
-				sameTail(t, fmt.Sprintf("kill=%d head", kill), head, ref[:kill])
-				tail := resumeRun(t, resumeConfig(workers, store, 1), store, records)
-				sameTail(t, fmt.Sprintf("kill=%d resumed tail", kill), tail, ref[kill:])
+			for _, input := range inputs {
+				in := input.in
+				t.Run(input.name, func(t *testing.T) {
+					ref := reference(t, workers, in)
+					for kill := 1; kill <= resumeWindows; kill += step {
+						store, err := checkpoint.NewStore(t.TempDir(), 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						head := runKilled(t, resumeConfig(workers, store, 1), in, kill)
+						sameTail(t, fmt.Sprintf("kill=%d head", kill), head, ref[:kill])
+						tail := resumeRun(t, resumeConfig(workers, store, 1), store, in)
+						sameTail(t, fmt.Sprintf("kill=%d resumed tail", kill), tail, ref[kill:])
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestResumeBadRecordBudgetSpansRestart: the bad-record budget counts
+// across a resume exactly as in an uninterrupted run — a resumed run whose
+// stream exceeds MaxBadRecords only counting the prefix fails at the same
+// malformed line, with the same error.
+func TestResumeBadRecordBudgetSpansRestart(t *testing.T) {
+	in := withBadLines(testRecords(t, resumeRecords))
+	run := func(cfg pipeline.Config, src pipeline.RecordSource, emit func(pipeline.Window) error) error {
+		cfg.MaxBadRecords = int(in.badBefore(resumeRecords)) - 1
+		p, err := pipeline.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.RunContext(context.Background(), src, emit)
+		return err
+	}
+	want := run(resumeConfig(2, nil, 0), in.sourceAfter(0), func(pipeline.Window) error { return nil })
+	if want == nil || !strings.Contains(want.Error(), "bad-record budget") {
+		t.Fatalf("uninterrupted run: %v, want the bad-record budget exhausted", want)
+	}
+	store, err := checkpoint.NewStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kill = 40 // position 216: 30 of the 42 bad lines lie before it
+	delivered := 0
+	if err := run(resumeConfig(2, store, 1), in.sourceAfter(0), func(pipeline.Window) error {
+		if delivered == kill {
+			return errKilled
+		}
+		delivered++
+		return nil
+	}); !errors.Is(err, errKilled) {
+		t.Fatalf("killed run: %v, want the simulated kill", err)
+	}
+	snap, _, err := store.Latest()
+	if err != nil || snap == nil {
+		t.Fatalf("no snapshot: %v", err)
+	}
+	cfg := resumeConfig(2, store, 1)
+	cfg.Resume = snap
+	got := run(cfg, in.sourceAfter(int(snap.Records)), func(pipeline.Window) error { return nil })
+	if got == nil || got.Error() != want.Error() {
+		t.Fatalf("resumed run: %v\nwant the uninterrupted run's failure: %v", got, want)
 	}
 }
 
@@ -197,17 +338,17 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 // the overlap windows — which must be byte-identical to their first
 // publication (the republication cache re-serving, §VI), not fresh draws.
 func TestSparseCheckpointRepublishesOverlapIdentically(t *testing.T) {
-	records := testRecords(t, resumeRecords)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
 	for _, workers := range []int{1, 4} {
-		ref := reference(t, workers, records)
+		ref := reference(t, workers, in)
 		for _, kill := range []int{4, 7, 11, 32} {
 			store, err := checkpoint.NewStore(t.TempDir(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			runKilled(t, resumeConfig(workers, store, 3), records, kill)
+			runKilled(t, resumeConfig(workers, store, 3), in, kill)
 			lastCkpt := (kill / 3) * 3
-			tail := resumeRun(t, resumeConfig(workers, store, 3), store, records)
+			tail := resumeRun(t, resumeConfig(workers, store, 3), store, in)
 			label := fmt.Sprintf("workers=%d kill=%d (checkpoint at %d)", workers, kill, lastCkpt)
 			sameTail(t, label, tail, ref[lastCkpt:])
 		}
@@ -218,14 +359,14 @@ func TestSparseCheckpointRepublishesOverlapIdentically(t *testing.T) {
 // falls back one generation; the longer re-published overlap is still
 // byte-identical.
 func TestResumePastCorruptedLatestGeneration(t *testing.T) {
-	records := testRecords(t, resumeRecords)
-	ref := reference(t, 2, records)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
+	ref := reference(t, 2, in)
 	const kill = 10
 	store, err := checkpoint.NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runKilled(t, resumeConfig(2, store, 1), records, kill)
+	runKilled(t, resumeConfig(2, store, 1), in, kill)
 	gens, err := store.Generations()
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +376,7 @@ func TestResumePastCorruptedLatestGeneration(t *testing.T) {
 	}
 	var warned bool
 	store.Logf = func(string, ...any) { warned = true }
-	tail := resumeRun(t, resumeConfig(2, store, 1), store, records)
+	tail := resumeRun(t, resumeConfig(2, store, 1), store, in)
 	sameTail(t, "resume past corruption", tail, ref[kill-1:])
 	if !warned {
 		t.Fatal("corrupt generation skipped without a warning")
@@ -247,8 +388,8 @@ func TestResumePastCorruptedLatestGeneration(t *testing.T) {
 // a torn file under the final name. In every case the store's previous
 // generation carries the resume, byte-identically.
 func TestCrashDuringCheckpointSaveThenResume(t *testing.T) {
-	records := testRecords(t, resumeRecords)
-	ref := reference(t, 2, records)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
+	ref := reference(t, 2, in)
 	for _, point := range []string{
 		checkpoint.CrashBeforeWrite,
 		checkpoint.CrashBeforeRename,
@@ -268,7 +409,7 @@ func TestCrashDuringCheckpointSaveThenResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			delivered := 0
-			_, err = p.RunContext(context.Background(), pipeline.SliceSource(records),
+			_, err = p.RunContext(context.Background(), pipeline.SliceSource(in.records),
 				func(pipeline.Window) error { delivered++; return nil })
 			if !errors.Is(err, checkpoint.ErrInjectedCrash) {
 				t.Fatalf("run: %v, want the injected crash", err)
@@ -283,7 +424,7 @@ func TestCrashDuringCheckpointSaveThenResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			store.Logf = func(string, ...any) {}
-			tail := resumeRun(t, resumeConfig(2, store, 1), store, records)
+			tail := resumeRun(t, resumeConfig(2, store, 1), store, in)
 			// Save dieOnSave never committed, so the resume point is the
 			// previous boundary; window dieOnSave is re-published, identically.
 			sameTail(t, point, tail, ref[dieOnSave-1:])
@@ -295,15 +436,15 @@ func TestCrashDuringCheckpointSaveThenResume(t *testing.T) {
 // identically for every worker count >= 2, so a snapshot from a workers=2
 // run must resume byte-identically under workers=8 (and vice versa).
 func TestResumeAcrossChunkedWorkerCounts(t *testing.T) {
-	records := testRecords(t, resumeRecords)
-	ref := reference(t, 2, records)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
+	ref := reference(t, 2, in)
 	const kill = 20
 	store, err := checkpoint.NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runKilled(t, resumeConfig(2, store, 1), records, kill)
-	tail := resumeRun(t, resumeConfig(8, store, 1), store, records)
+	runKilled(t, resumeConfig(2, store, 1), in, kill)
+	tail := resumeRun(t, resumeConfig(8, store, 1), store, in)
 	sameTail(t, "workers 2 -> 8", tail, ref[kill:])
 }
 
@@ -311,12 +452,12 @@ func TestResumeAcrossChunkedWorkerCounts(t *testing.T) {
 // configuration must not restore into another — seed, scheme, window, or
 // draw-order tier.
 func TestResumeRefusesMismatchedConfiguration(t *testing.T) {
-	records := testRecords(t, resumeRecords)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
 	store, err := checkpoint.NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runKilled(t, resumeConfig(2, store, 1), records, 5)
+	runKilled(t, resumeConfig(2, store, 1), in, 5)
 	snap, _, err := store.Latest()
 	if err != nil || snap == nil {
 		t.Fatalf("no snapshot: %v", err)
@@ -344,16 +485,17 @@ func TestResumeRefusesMismatchedConfiguration(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsShortSource: a source that cannot replay the consumed
-// prefix (here: truncated) fails the resumed run loudly instead of silently
-// re-mining a different stream.
+// TestResumeRejectsShortSource: a source that re-presents the stream from
+// its first record but cannot reach the resume position (here: truncated)
+// fails the resumed run loudly — through FastForward, the one prefix skip —
+// instead of silently re-mining a different stream.
 func TestResumeRejectsShortSource(t *testing.T) {
-	records := testRecords(t, resumeRecords)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
 	store, err := checkpoint.NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runKilled(t, resumeConfig(1, store, 1), records, 10)
+	runKilled(t, resumeConfig(1, store, 1), in, 10)
 	snap, _, err := store.Latest()
 	if err != nil || snap == nil {
 		t.Fatalf("no snapshot: %v", err)
@@ -364,11 +506,11 @@ func TestResumeRejectsShortSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.RunContext(context.Background(),
-		pipeline.SliceSource(records[:int(snap.Records)/2]),
+	short := pipeline.SliceSource(in.records[:int(snap.Records)/2])
+	_, err = p.RunContext(context.Background(), pipeline.SkipSource(short, int(snap.Records)),
 		func(pipeline.Window) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "before the resume position") {
-		t.Fatalf("short replay: %v, want a resume-position error", err)
+	if err == nil || !strings.Contains(err.Error(), "before the fast-forward position") {
+		t.Fatalf("short replay: %v, want a fast-forward-position error", err)
 	}
 }
 
@@ -376,7 +518,7 @@ func TestResumeRejectsShortSource(t *testing.T) {
 // points publishes its final window AND checkpoints it — the graceful-drain
 // snapshot a restarted service resumes from.
 func TestFinalWindowCheckpointOnDrain(t *testing.T) {
-	records := testRecords(t, resumeRecords)
+	in := resumeInput{records: testRecords(t, resumeRecords)}
 	store, err := checkpoint.NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +530,7 @@ func TestFinalWindowCheckpointOnDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var positions []int
-	if _, err := p.RunContext(context.Background(), pipeline.SliceSource(records[:cut]),
+	if _, err := p.RunContext(context.Background(), pipeline.SliceSource(in.records[:cut]),
 		func(w pipeline.Window) error { positions = append(positions, w.Position); return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -402,8 +544,8 @@ func TestFinalWindowCheckpointOnDrain(t *testing.T) {
 	if snap.Records != cut {
 		t.Fatalf("final checkpoint at record %d, want %d", snap.Records, cut)
 	}
-	// The drained service restarts against the full stream and picks up
-	// exactly where it stopped.
+	// The drained service restarts against the full stream, re-read from
+	// its first record, and picks up exactly where it stopped.
 	cfg2 := resumeConfig(1, store, 5)
 	cfg2.Resume = snap
 	p2, err := pipeline.New(cfg2)
@@ -411,11 +553,12 @@ func TestFinalWindowCheckpointOnDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resumedPositions []int
-	if _, err := p2.RunContext(context.Background(), pipeline.SliceSource(records),
+	src := pipeline.SkipSource(pipeline.SliceSource(in.records), int(snap.Records))
+	if _, err := p2.RunContext(context.Background(), src,
 		func(w pipeline.Window) error { resumedPositions = append(resumedPositions, w.Position); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if len(resumedPositions) == 0 || resumedPositions[0] <= cut {
-		t.Fatalf("resumed positions %v, want all past the drain point %d", resumedPositions, cut)
+	if want := []int{resumeRecords}; !slices.Equal(resumedPositions, want) {
+		t.Fatalf("resumed positions %v, want %v: the stream end past the drain point %d", resumedPositions, want, cut)
 	}
 }

@@ -106,12 +106,14 @@ func (d *DrainSource) Next() (itemset.Itemset, error) {
 }
 
 // FastForward advances src past the first records well-formed records — the
-// position-accounting primitive behind checkpoint resume. Malformed records
-// (*data.ParseError) encountered while skipping are discarded and counted
-// in skippedBad, mirroring how the original run skipped them; they do not
-// count toward records. It returns an error if the source ends or fails
-// before reaching the position: a source that cannot replay its original
-// prefix cannot resume deterministically.
+// one prefix skip of checkpoint resume, for a source that re-presents the
+// stream from its first record (a re-opened file, a client re-sending from
+// line 1) while the resumed run starts at the snapshot (Config.Resume).
+// Malformed records (*data.ParseError) encountered while skipping are
+// discarded and counted in skippedBad, not toward records; the resumed run
+// counts them through the snapshot's BadRecords. It returns an error if the
+// source ends or fails before reaching the position: a source that cannot
+// replay its original prefix cannot resume deterministically.
 func FastForward(src RecordSource, records int) (skippedBad int, err error) {
 	for consumed := 0; consumed < records; {
 		_, err := src.Next()
@@ -128,6 +130,34 @@ func FastForward(src RecordSource, records int) (skippedBad int, err error) {
 		}
 	}
 	return skippedBad, nil
+}
+
+// SkipSource returns src with its first records well-formed records dropped
+// by FastForward on the first Next, inside the run — where cancellation,
+// pause gates and the drain switch already apply. A failed skip is final:
+// the records it consumed are gone, so every later Next repeats its error
+// rather than deliver a record from the wrong position.
+func SkipSource(src RecordSource, records int) RecordSource {
+	return &skipSource{src: src, left: records}
+}
+
+type skipSource struct {
+	src  RecordSource
+	left int
+	err  error
+}
+
+func (s *skipSource) Next() (itemset.Itemset, error) {
+	if n := s.left; n > 0 {
+		// Spent before it runs: a source panic mid-skip, which the pipeline
+		// retries, fails the run instead of resuming at a wrong position.
+		s.left, s.err = 0, errors.New("pipeline: fast-forward interrupted")
+		_, s.err = FastForward(s.src, n)
+	}
+	if s.err != nil {
+		return itemset.Itemset{}, s.err
+	}
+	return s.src.Next()
 }
 
 // BadRecord is one malformed input record skipped under the bad-record

@@ -124,11 +124,12 @@ type runState struct {
 	// Observability: the registered instrument set (nil without a
 	// Config.Metrics registry; every recording method is nil-safe), the
 	// flight recorder receiving per-window spans (nil disables tracing;
-	// every trace method is nil-safe too), and the moment the resume
-	// restore began (drives the resume-duration gauge).
+	// every trace method is nil-safe too), and when the resume restore
+	// began and how long it took (the resume gauge and span).
 	metrics     *pipeMetrics
 	tracer      *trace.Tracer
 	resumeStart time.Time
+	resumeDur   time.Duration
 
 	// results is the window-buffer freelist between the perturb and mine
 	// stages: once a window's sanitized output is assembled, its
@@ -200,6 +201,18 @@ func (r *runState) addRecord() {
 	r.report.Records++
 	r.mu.Unlock()
 	r.metrics.addRecord()
+}
+
+// seedCounts continues a resumed run's counts from its snapshot, so the
+// Report, the counters and the bad-record budget span the whole stream.
+func (r *runState) seedCounts(s *checkpoint.Snapshot) {
+	r.mu.Lock()
+	r.report.Records, r.report.BadRecords = int(s.Records), int(s.BadRecords)
+	r.mu.Unlock()
+	if m := r.metrics; m != nil {
+		m.records.Add(s.Records)
+		m.badRecords.Add(s.BadRecords)
+	}
 }
 
 func (r *runState) addPublished() { r.mu.Lock(); r.report.Published++; r.mu.Unlock() }

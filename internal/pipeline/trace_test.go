@@ -156,7 +156,7 @@ func TestTraceRetrySpans(t *testing.T) {
 
 // TestTraceResumeSpan restarts a run from its checkpoint and checks the
 // first window published after the restart carries a resume span covering
-// the restore plus the fast-forward replay.
+// the restore.
 func TestTraceResumeSpan(t *testing.T) {
 	store, err := checkpoint.NewStore(t.TempDir(), 0)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestTraceResumeSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.RunContext(context.Background(), SliceSource(records), func(Window) error { return nil }); err != nil {
+	if _, err := p.RunContext(context.Background(), SliceSource(records[snap.Records:]), func(Window) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	recs := tr.Snapshot()

@@ -211,6 +211,34 @@ func TestBreakerQuarantineAndHeal(t *testing.T) {
 	}
 }
 
+// TestRestartReplaysMalformedLines: an in-process restart replays every
+// consumed line past its checkpoint, malformed ones included, selected by
+// line — a malformed line carries the seq of the record before it. So a
+// stream whose very first line exhausts a zero bad-record budget fails
+// every restarted run the same way and quarantines, in memory-only and
+// durable mode alike, instead of a restart silently dropping the line.
+func TestRestartReplaysMalformedLines(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			opts := Options{BreakerFailures: 2, RestartBackoff: time.Millisecond}
+			if durable {
+				opts.DataDir = t.TempDir()
+			}
+			_, c := newTestServer(t, opts)
+			c.create(testConfig("s", 1)) // max_bad_records 0: fail fast
+			body := "bad\x00token\n" + genInput(t, 2, 20)
+			if resp, b := c.do("POST", "/v1/streams/s/records", strings.NewReader(body)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest: %d %s", resp.StatusCode, b)
+			}
+			st := c.waitState("s", StateQuarantined, 30*time.Second)
+			if st.Restarts != 2 || !strings.Contains(st.LastError, "bad-record budget") {
+				t.Fatalf("quarantined after %d runs with %q, want 2 runs failing on the bad-record budget",
+					st.Restarts, st.LastError)
+			}
+		})
+	}
+}
+
 // TestPauseResume: pausing gates the source (no new windows) and refuses
 // ingest with 409; resuming continues, and the pause leaves no trace in the
 // published bytes.

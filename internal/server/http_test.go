@@ -38,7 +38,8 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 // TestErrorStatusMapping: 404 for unknown streams, 400 for malformed
-// create bodies, 409 for duplicates, 400 for bad query parameters.
+// create bodies (and for raw streams, which would serve true supports),
+// 409 for duplicates, 400 for bad query parameters.
 func TestErrorStatusMapping(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	c.create(testConfig("dup", 1))
@@ -59,6 +60,7 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"POST", "/v1/streams", `{"id":"noscheme","window":10,"scheme":"nope"}`, http.StatusBadRequest},
 		{"POST", "/v1/streams", `{"id":"biggamma","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"gamma":18}`, http.StatusBadRequest},
 		{"POST", "/v1/streams", `{"id":"okgamma","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"gamma":8}`, http.StatusCreated},
+		{"POST", "/v1/streams", `{"id":"raw","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"raw":true}`, http.StatusBadRequest},
 		{"GET", "/v1/streams/dup/windows?from=abc", "", http.StatusBadRequest},
 		{"GET", "/v1/streams/dup/trace", "", http.StatusNotFound}, // created without trace_windows
 	} {

@@ -242,6 +242,11 @@ func (s *Server) adopt(id string, e manifestEntry) (parked bool, replayed int, t
 	if s.opts.hookStore != nil {
 		s.opts.hookStore(id, store)
 	}
+	if cfg.Raw {
+		// Written by an older binary that served raw streams; never again.
+		park(StateQuarantined, errRawRefused.Error(), true)
+		return
+	}
 	if fp := st.pipeCfg.Fingerprint(); fp != e.Fingerprint {
 		park(StateQuarantined, "manifest fingerprint does not match the stream config", true)
 		return
@@ -330,14 +335,10 @@ func (s *Server) adopt(id string, e manifestEntry) (parked bool, replayed int, t
 	}
 
 	replayed = len(tail)
-	var synth uint64
-	if snap != nil {
-		synth = snap.Records
-	}
 	ckptRecords := st.lastCkpt // read before the supervisor can checkpoint
 	register(StateRunning)
 	s.wg.Add(1)
-	go s.supervise(st, snap, synth, walItems(tail))
+	go s.supervise(st, snap, walItems(tail))
 	if e.Closed {
 		// The client had already ended the stream; after replay it drains to
 		// done (and its directory is then GC'd).

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
+	"repro/internal/itemset"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
@@ -124,6 +125,13 @@ type crashSpec struct {
 	// badLines splices malformed lines into the input (budget unlimited),
 	// pinning that the WAL carries bad-line positions through recovery.
 	badLines bool
+	// killAgain, when set, kills the recovered server too once at least
+	// this many lines are acked and recovers a third one: the second
+	// recovery's checkpoint line comes from checkpoints the first
+	// recovery's run wrote.
+	killAgain int
+	// records sizes the input (default 600).
+	records int
 }
 
 func TestRecoverKillAtEveryBoundary(t *testing.T) {
@@ -131,6 +139,7 @@ func TestRecoverKillAtEveryBoundary(t *testing.T) {
 		{name: "kill-early", killAfter: 150},
 		{name: "kill-late", killAfter: 450},
 		{name: "kill-bad-lines", killAfter: 300, badLines: true},
+		{name: "kill-twice-bad-lines", killAfter: 300, killAgain: 650, badLines: true, records: 900},
 		{name: "ckpt-before-write", ckptPoint: checkpoint.CrashBeforeWrite, ckptSave: 2},
 		{name: "ckpt-before-rename", ckptPoint: checkpoint.CrashBeforeRename, ckptSave: 2},
 		{name: "ckpt-torn-write", ckptPoint: checkpoint.CrashTornWrite, ckptSave: 3},
@@ -151,7 +160,11 @@ func runCrashSpec(t *testing.T, sp crashSpec) {
 	root := t.TempDir()
 	cfg := testConfig("s", 42)
 	cfg.CheckpointEvery = 1
-	input := genInput(t, 7, 600)
+	records := sp.records
+	if records == 0 {
+		records = 600
+	}
+	input := genInput(t, 7, records)
 	if sp.badLines {
 		cfg.MaxBadRecords = -1
 		input = withBadLines(input, 40)
@@ -205,9 +218,8 @@ func runCrashSpec(t *testing.T, sp crashSpec) {
 			t.Fatal("injected crash hook never fired")
 		}
 	}
-	ackedAtKill := dc.acked
 	srv1.Abort() // the kill: unsynced WAL buffers drop, nothing acked is lost
-	win1 := c1.windows("s")
+	wins := []map[int]string{c1.windows("s")}
 
 	if sp.tearTail {
 		segs, err := filepath.Glob(filepath.Join(root, "streams", "s", wal.SegmentGlob))
@@ -221,48 +233,90 @@ func runCrashSpec(t *testing.T, sp crashSpec) {
 		}
 	}
 
-	srv2, c2 := newTestServer(t, Options{DataDir: root, WALSegmentBytes: 4 << 10})
-	rep, err := srv2.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if rep.Adopted != 1 || rep.Parked != 0 {
-		t.Fatalf("recover adopted %d / parked %d, want 1/0", rep.Adopted, rep.Parked)
-	}
-	_, st := c2.status("s")
-	if !st.Durable {
-		t.Fatal("adopted stream is not durable")
-	}
-	if st.AcceptedLines < uint64(ackedAtKill) {
-		t.Fatalf("recovery lost accepted lines: acked %d, recovered %d",
-			ackedAtKill, st.AcceptedLines)
+	// recoverServer boots a fresh server over the crashed data dir. It returns the
+	// line the checkpoint recovery resumes from, read off the store before
+	// Recover, and counts the record reads the recovered pipeline makes.
+	var nexts atomic.Int64
+	recoverServer := func() (*Server, *tClient, uint64) {
+		store, err := checkpoint.NewStore(filepath.Join(root, "streams", "s"), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, _, err := store.Latest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ckptLine uint64
+		if snap != nil {
+			ckptLine = snap.Records + snap.BadRecords
+		}
+		nexts.Store(0)
+		srv, c := newTestServer(t, Options{DataDir: root, WALSegmentBytes: 4 << 10,
+			WrapSource: func(_ string, src pipeline.RecordSource) pipeline.RecordSource {
+				return sourceFunc(func() (itemset.Itemset, error) {
+					nexts.Add(1)
+					return src.Next()
+				})
+			}})
+		rep, err := srv.Recover()
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if rep.Adopted != 1 || rep.Parked != 0 {
+			t.Fatalf("recover adopted %d / parked %d, want 1/0", rep.Adopted, rep.Parked)
+		}
+		_, st := c.status("s")
+		if !st.Durable {
+			t.Fatal("adopted stream is not durable")
+		}
+		if st.AcceptedLines < uint64(dc.acked) {
+			t.Fatalf("recovery lost accepted lines: acked %d, recovered %d",
+				dc.acked, st.AcceptedLines)
+		}
+		dc.rebase(c)
+		return srv, c, ckptLine
 	}
 
-	dc.rebase(c2)
+	srv2, c2, ckptLine := recoverServer()
+	if sp.killAgain > 0 {
+		if done := dc.feed(func() bool { return dc.acked >= sp.killAgain }); done {
+			t.Fatalf("second kill never fired; stream fully ingested (%d lines)", dc.acked)
+		}
+		srv2.Abort()
+		wins = append(wins, c2.windows("s"))
+		_, c2, ckptLine = recoverServer()
+	}
+
 	if done := dc.feed(nil); !done {
 		t.Fatal("post-recovery feed crashed")
 	}
 	c2.closeStream("s")
 	c2.waitState("s", StateDone, 60*time.Second)
-	win2 := c2.windows("s")
+	wins = append(wins, c2.windows("s"))
 	_, final := c2.status("s")
 	if final.AcceptedLines != uint64(len(dc.lines)) {
 		t.Fatalf("stream accepted %d lines total, client sent %d",
 			final.AcceptedLines, len(dc.lines))
+	}
+	// Recovery work does not grow with the stream: the recovered pipeline
+	// reads exactly the lines past its checkpoint, then io.EOF — never the
+	// prefix the checkpoint already covers.
+	if got, want := nexts.Load(), int64(len(dc.lines))-int64(ckptLine)+1; got != want {
+		t.Errorf("recovered pipeline read %d records, want %d (%d lines past checkpoint line %d, plus EOF)",
+			got, want, want-1, ckptLine)
 	}
 
 	// The union across incarnations must be the reference run exactly:
 	// every reference window present, overlapping republications
 	// byte-identical, nothing extra.
 	union := map[int]string{}
-	for pos, body := range win1 {
-		union[pos] = body
-	}
-	for pos, body := range win2 {
-		if prev, ok := union[pos]; ok && prev != body {
-			t.Errorf("window at position %d republished with different bytes", pos)
+	for _, win := range wins {
+		for pos, body := range win {
+			if prev, ok := union[pos]; ok && prev != body {
+				t.Errorf("window at position %d republished with different bytes", pos)
+			}
+			union[pos] = body
 		}
-		union[pos] = body
 	}
 	if len(union) != len(ref) {
 		t.Errorf("union has %d windows, reference has %d", len(union), len(ref))
@@ -329,6 +383,62 @@ func TestRecoverManifestStates(t *testing.T) {
 	}
 	c2.closeStream("q")
 	c2.waitState("q", StateDone, 60*time.Second)
+}
+
+// TestRecoverParksRawStream: a manifest entry for a raw stream — one an
+// older binary admitted — is parked quarantined at boot instead of serving
+// true supports, refuses resume, and deletes cleanly.
+func TestRecoverParksRawStream(t *testing.T) {
+	root := t.TempDir()
+	srv1, c1 := newTestServer(t, Options{DataDir: root})
+	c1.create(testConfig("r", 1))
+	// Less than a window: no checkpoint exists whose fingerprint could
+	// refuse the adoption on its own.
+	c1.ingestAll("r", genInput(t, 2, 50))
+	srv1.Abort()
+
+	// Rewrite the entry as the older binary would have stored a raw stream.
+	path := filepath.Join(root, "manifest.json")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mf manifestFile
+	if err := json.Unmarshal(b, &mf); err != nil {
+		t.Fatal(err)
+	}
+	e := mf.Streams["r"]
+	e.Config.Raw, e.Fingerprint.Raw = true, true
+	mf.Streams["r"] = e
+	if b, err = json.Marshal(mf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, c2 := newTestServer(t, Options{DataDir: root})
+	rep, err := srv2.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if rep.Adopted != 0 || rep.Parked != 1 {
+		t.Fatalf("recover adopted %d / parked %d, want 0/1", rep.Adopted, rep.Parked)
+	}
+	_, st := c2.status("r")
+	if st.State != StateQuarantined || !strings.Contains(st.LastError, "raw") {
+		t.Fatalf("raw stream adopted as %q (%q), want quarantined for raw output", st.State, st.LastError)
+	}
+	if resp, body := c2.do("POST", "/v1/streams/r/resume", nil); resp.StatusCode == http.StatusOK {
+		t.Fatalf("resume of a parked raw stream succeeded: %s", body)
+	}
+	if got := c2.windows("r"); len(got) != 0 {
+		t.Fatalf("parked raw stream serves %d windows", len(got))
+	}
+	if resp, body := c2.do("DELETE", "/v1/streams/r", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %d %s", resp.StatusCode, body)
+	}
+	waitGone(t, filepath.Join(root, "streams", "r"))
 }
 
 // TestRecoverOrphanSweep pins the GC ordering contract: directories the

@@ -15,13 +15,14 @@
 // own checkpoint or quarantined, and the streams around it never notice.
 //
 // Restart determinism: an in-process restart resumes from the newest
-// checkpoint plus a replay of the records consumed since it was written.
-// With a data dir the replay comes from the stream's ingest WAL (durable,
-// truncated as checkpoints advance); without one it comes from a retained
-// in-memory buffer pruned on every checkpoint save via the store's OnSave
-// hook. If the replay cannot bridge the gap — the memory buffer overflowed
-// ReplayLimit, or the WAL tail is not contiguous with the checkpoint — the
-// stream is quarantined rather than restarted wrong: no replay, no resume.
+// checkpoint plus a replay of the lines consumed past it. With a data dir
+// the replay comes from the stream's ingest WAL (durable, truncated as
+// checkpoints advance); without one there are no checkpoints, and the
+// restart replays a retained in-memory buffer of every consumed line from
+// the start. If the replay cannot bridge the gap — the memory buffer
+// overflowed ReplayLimit, or the WAL tail is not contiguous with the
+// checkpoint — the stream is quarantined rather than restarted wrong: no
+// replay, no resume.
 //
 // Durability of acceptance: with a data dir, every 2xx ingest response
 // means the accepted lines are fsynced to the stream's WAL (and any new
@@ -90,7 +91,7 @@ type Options struct {
 	// doubling per consecutive failure (default 25ms).
 	RestartBackoff time.Duration
 	// ReplayLimit caps the per-stream replay buffer in records (default
-	// 65536). A stream that outruns it between checkpoints loses in-process
+	// 65536). A memory-only stream that outgrows it loses in-process
 	// restartability and quarantines on its next failure.
 	ReplayLimit int
 	// CheckpointFullEvery is the default full-snapshot compaction interval
@@ -288,7 +289,11 @@ type StreamConfig struct {
 	PublishEvery int     `json:"publish_every"`
 	Workers      int     `json:"workers"`
 	ClosedOnly   bool    `json:"closed_only"`
-	Raw          bool    `json:"raw"`
+	// Raw (true supports, no perturbation) is refused: GET /windows would
+	// serve a raw stream's true supports to any client. The field stays so
+	// an older manifest entry carrying it is recognized and parked at boot;
+	// the audit tool for raw output is cmd/butterfly -raw.
+	Raw bool `json:"raw"`
 
 	// Fault budgets (per-tenant): malformed records tolerated before the
 	// run fails (0 fails on the first, -1 is unlimited), and transient
@@ -309,8 +314,8 @@ type StreamConfig struct {
 	TraceWindows        int `json:"trace_windows"`
 	// Resume restores the stream from its newest checkpoint. The client
 	// must then replay the stream's records from the beginning — the
-	// pipeline discards the already-published prefix and continues
-	// byte-identically (see pipeline.Config.Resume).
+	// stream drops the prefix the checkpoint covers (pipeline.FastForward)
+	// and continues byte-identically (see pipeline.Config.Resume).
 	Resume bool `json:"resume"`
 }
 
@@ -340,8 +345,14 @@ func (c StreamConfig) validate() error {
 	if c.TraceWindows < 0 {
 		return fmt.Errorf("negative trace windows %d", c.TraceWindows)
 	}
+	if c.Raw {
+		return errRawRefused
+	}
 	return nil
 }
+
+// errRawRefused rejects raw streams at create and parks them at adoption.
+var errRawRefused = errors.New("raw output publishes true supports and is not served; use cmd/butterfly -raw for audits")
 
 // StreamStatus is the control plane's view of one stream.
 type StreamStatus struct {
@@ -366,8 +377,8 @@ type StreamStatus struct {
 	// dir): a 2xx ingest response means the lines survive a kill -9.
 	Durable bool `json:"durable"`
 	// ReplayLost means the in-memory replay buffer overflowed ReplayLimit
-	// (memory-only mode): the stream cannot restart deterministically until
-	// its next checkpoint re-arms it. Always false in durable mode.
+	// (memory-only mode): the stream can no longer restart
+	// deterministically. Always false in durable mode.
 	ReplayLost bool `json:"replay_lost"`
 	// WALSegments is the stream's current ingest-WAL segment count (durable
 	// mode only).
@@ -435,7 +446,8 @@ func (s *Server) Create(cfg StreamConfig) (StreamStatus, error) {
 		// any WAL tail or token journal a predecessor left behind is in a
 		// coordinate space this incarnation does not share. A resume keeps
 		// the checkpoints — the client replays from the beginning and the
-		// pipeline fast-forwards — while a fresh create wipes those too.
+		// stream skips the covered prefix — while a fresh create wipes those
+		// too.
 		if err := wipeDurableLog(dir); err != nil {
 			st.releaseLease()
 			undo()
@@ -519,7 +531,7 @@ func (s *Server) Create(cfg StreamConfig) (StreamStatus, error) {
 
 	s.metrics.moveState("", StateRunning)
 	s.wg.Add(1)
-	go s.supervise(st, snap, 0, nil)
+	go s.supervise(st, snap, nil)
 	s.log.Info("stream created", "stream", cfg.ID, "resume", cfg.Resume,
 		"queue_depth", cfg.QueueDepth, "workers", cfg.Workers)
 	return st.status(), nil
@@ -619,9 +631,9 @@ func (s *Server) gcStream(st *stream) {
 }
 
 // supervise runs one supervision session: the pipeline run loop with
-// checkpoint+replay restarts and the circuit breaker. snap/synth/replay
-// describe the starting point (see stream.buildRestart).
-func (s *Server) supervise(st *stream, snap *checkpoint.Snapshot, synth uint64, replay []queueItem) {
+// checkpoint+replay restarts and the circuit breaker. snap/replay describe
+// the starting point (see stream.buildRestart).
+func (s *Server) supervise(st *stream, snap *checkpoint.Snapshot, replay []queueItem) {
 	defer s.wg.Done()
 	defer func() {
 		if v := recover(); v != nil {
@@ -654,8 +666,8 @@ func (s *Server) supervise(st *stream, snap *checkpoint.Snapshot, synth uint64, 
 			return
 		}
 		runCtx, cancelRun := context.WithCancel(st.runCtx)
-		qs := newQueueSource(st, runCtx, synth, replay)
-		var src pipeline.RecordSource = qs
+		qs := newQueueSource(st, runCtx, replay)
+		src := st.runSource(qs, snap)
 		if s.opts.WrapSource != nil {
 			src = s.opts.WrapSource(st.id, src)
 		}
@@ -718,7 +730,7 @@ func (s *Server) supervise(st *stream, snap *checkpoint.Snapshot, synth uint64, 
 			return
 		}
 		var rerr error
-		snap, synth, replay, rerr = st.buildRestart()
+		snap, replay, rerr = st.buildRestart()
 		if rerr != nil {
 			st.setState(StateQuarantined, fmt.Errorf("%v (restart impossible: %v)", runErr, rerr))
 			s.metrics.addQuarantine(quarRestartImpossible)
@@ -786,7 +798,7 @@ func (s *Server) Resume(id string) (StreamStatus, error) {
 		s.log.Info("stream resumed", "stream", id)
 		return st.status(), nil
 	case StateQuarantined:
-		snap, synth, replay, err := st.buildRestart()
+		snap, replay, err := st.buildRestart()
 		if err != nil {
 			return StreamStatus{}, fmt.Errorf("stream %s cannot restart: %w", id, err)
 		}
@@ -805,7 +817,7 @@ func (s *Server) Resume(id string) (StreamStatus, error) {
 		s.metrics.moveState(StateQuarantined, StateRunning)
 		s.manifestSetState(id, manifestActive, "")
 		s.wg.Add(1)
-		go s.supervise(st, snap, synth, replay)
+		go s.supervise(st, snap, replay)
 		s.log.Info("stream un-quarantined", "stream", id)
 		return st.status(), nil
 	default:

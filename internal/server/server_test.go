@@ -428,7 +428,19 @@ func TestCrashRestartResume(t *testing.T) {
 	}
 	srv1.Abort() // crash: queued tail and any unsaved progress are lost
 
-	_, c2 := newTestServer(t, Options{DataDir: root})
+	// The resumed stream's first run fails before its prefix skip starts:
+	// the restart must re-present the stream from line 1 and skip the
+	// prefix again (buildRestart's re-presenting branch).
+	var reads atomic.Int64
+	_, c2 := newTestServer(t, Options{DataDir: root, RestartBackoff: time.Millisecond,
+		WrapSource: func(_ string, src pipeline.RecordSource) pipeline.RecordSource {
+			return sourceFunc(func() (itemset.Itemset, error) {
+				if reads.Add(1) == 1 {
+					return itemset.Itemset{}, fmt.Errorf("injected failure before the prefix skip")
+				}
+				return src.Next()
+			})
+		}})
 	rcfg := cfg
 	rcfg.Resume = true
 	st := c2.create(rcfg)
@@ -451,6 +463,9 @@ func TestCrashRestartResume(t *testing.T) {
 	final := 600
 	if _, ok := got[final]; !ok {
 		t.Errorf("resumed stream never published the final window at %d (got %d windows)", final, len(got))
+	}
+	if _, st := c2.status("s"); st.Restarts != 1 {
+		t.Errorf("resumed stream restarted %d times, want 1 (the injected failure)", st.Restarts)
 	}
 }
 

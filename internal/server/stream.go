@@ -53,10 +53,11 @@ type queueItem struct {
 	bad *data.ParseError
 	// seq is the count of well-formed records up to and including this
 	// item (a bad item carries the seq of the preceding good one) — the
-	// coordinate the replay buffer is pruned and restarted by.
+	// coordinate checkpoints count records in.
 	seq uint64
 	// line is the 1-based cumulative accepted-line index (good + bad) — the
-	// WAL's coordinate and the ?offset= dedup protocol's unit.
+	// WAL's coordinate, the ?offset= dedup protocol's unit, and what a
+	// restart selects its replay by.
 	line uint64
 	// size is the item's approximate in-memory footprint, charged against
 	// the server-wide inflight-bytes admission cap.
@@ -144,7 +145,7 @@ type stream struct {
 	consumed     uint64        // good records pulled from the queue by the source
 	consumedLine uint64        // newest accepted line consumed by the source
 	badSeen      uint64        // malformed lines accepted into the queue
-	retained     []queueItem   // consumed items not yet covered by a checkpoint (memory-only mode)
+	retained     []queueItem   // every consumed item, the restart replay (memory-only mode)
 	replayLost   bool          // retained overflowed ReplayLimit; restart is impossible
 	consecFails  int
 	restarts     int
@@ -623,14 +624,9 @@ func (st *stream) drainQueue() {
 
 // ---- source ----
 
-// queueSource adapts the ingest queue to pipeline.RecordSource, replaying
-// a synthetic skip prefix plus the retained tail first after a restart.
-//
-// The synth prefix exists because a resumed pipeline discards its first
-// snapshot.Records well-formed records (they are already inside the
-// restored window buffer); in-process the real records are gone — consumed
-// and pruned — so the source synthesizes placeholders that the pipeline
-// discards without ever pushing into the window.
+// queueSource adapts the ingest queue to pipeline.RecordSource, delivering
+// the restart's replay list (the lines past the resume checkpoint) before
+// the live queue.
 //
 // Each pipeline run gets its own queueSource scoped by ctx. RunContext can
 // return from a failed run while the mine stage is still inside Next()
@@ -642,7 +638,6 @@ func (st *stream) drainQueue() {
 type queueSource struct {
 	st     *stream
 	ctx    context.Context
-	synth  uint64
 	replay []queueItem
 	next   int
 
@@ -652,9 +647,8 @@ type queueSource struct {
 	settled chan struct{} // closed once dead with no pending Next
 }
 
-func newQueueSource(st *stream, ctx context.Context, synth uint64, replay []queueItem) *queueSource {
-	return &queueSource{st: st, ctx: ctx, synth: synth, replay: replay,
-		settled: make(chan struct{})}
+func newQueueSource(st *stream, ctx context.Context, replay []queueItem) *queueSource {
+	return &queueSource{st: st, ctx: ctx, replay: replay, settled: make(chan struct{})}
 }
 
 // begin registers an in-flight Next call; it refuses once the source is
@@ -711,10 +705,6 @@ func (qs *queueSource) Next() (itemset.Itemset, error) {
 		case <-st.gate():
 		case <-qs.ctx.Done():
 			return itemset.Itemset{}, qs.ctx.Err()
-		}
-		if qs.synth > 0 {
-			qs.synth--
-			return itemset.Itemset{}, nil
 		}
 		if qs.next < len(qs.replay) {
 			it := qs.replay[qs.next]
@@ -775,9 +765,9 @@ func (st *stream) noteConsumed(it queueItem) {
 		return
 	}
 	if len(st.retained) >= st.srv.opts.ReplayLimit {
-		// The window between checkpoints outgrew the replay budget; give
-		// the memory back. A later restart attempt quarantines cleanly
-		// instead of replaying a gap.
+		// The stream outgrew the replay budget; give the memory back. A
+		// later restart attempt quarantines cleanly instead of replaying a
+		// gap.
 		st.retained = nil
 		st.replayLost = true
 		return
@@ -800,16 +790,16 @@ func (st *stream) noteReplayed(it queueItem) {
 }
 
 // onCheckpointSave runs on every persisted checkpoint generation (wired to
-// checkpoint.Store.OnSave): it advances the checkpoint watermarks, prunes
-// WAL segments in durable mode, and prunes the retained replay buffer in
-// memory-only mode.
+// checkpoint.Store.OnSave): it advances the checkpoint watermarks and prunes
+// WAL segments. Only durable streams have a checkpoint store, so the
+// memory-only retained buffer is never pruned here: without a checkpoint a
+// memory-only restart replays it from the start.
 //
 // Only FULL snapshots move the WAL truncation floor. A delta frame is
 // recoverable only by replaying its whole chain from the anchor full, so
 // the records between the anchor and the chain tip must stay replayable —
 // truncating up to a delta would strand the chain if its tail is later
-// torn. Memory-only replay pruning has the same shape: the retained buffer
-// must still cover everything after the newest FULL snapshot.
+// torn.
 //
 // The truncation additionally lags one full generation on purpose: restart
 // loads the newest READABLE snapshot, and if the newest file is lost to bit
@@ -825,22 +815,6 @@ func (st *stream) onCheckpointSave(sv checkpoint.Saved) {
 	}
 	horizon := st.prevCkptLine
 	st.prevCkptLine = sv.Records + sv.BadRecords
-	if st.wal == nil {
-		i := 0
-		for i < len(st.retained) && st.retained[i].seq <= sv.Records {
-			i++
-		}
-		if i > 0 {
-			st.retained = append(st.retained[:0], st.retained[i:]...)
-		}
-		// A fresh full checkpoint re-arms replayability: everything after
-		// it is retained from here on.
-		if st.replayLost && len(st.retained) == 0 && st.consumed == sv.Records {
-			st.replayLost = false
-		}
-		st.mu.Unlock()
-		return
-	}
 	st.mu.Unlock()
 	if err := st.wal.TruncateBefore(horizon); err != nil {
 		st.srv.log.Warn("wal truncation failed", "stream", st.id, "error", err.Error())
@@ -848,24 +822,32 @@ func (st *stream) onCheckpointSave(sv checkpoint.Saved) {
 }
 
 // buildRestart assembles the deterministic-restart inputs: the resume
-// snapshot (nil for a from-scratch restart), the synthetic skip prefix,
-// and the tail to replay — read back from the WAL in durable mode, or
-// taken from the retained buffer in memory-only mode (verifying it
-// actually covers the gap between the snapshot and the consumption point).
-func (st *stream) buildRestart() (snap *checkpoint.Snapshot, synth uint64, replay []queueItem, err error) {
+// snapshot (nil for a from-scratch restart) and the lines past it to
+// replay — read back from the WAL in durable mode, or taken from the
+// retained buffer in memory-only mode (verifying it actually covers the gap
+// between the snapshot and the consumption point). Lines are selected by
+// line, not seq: a malformed line right after the checkpointed record
+// carries that record's seq but lies past the checkpoint.
+func (st *stream) buildRestart() (snap *checkpoint.Snapshot, replay []queueItem, err error) {
 	if st.store != nil {
 		snap, _, err = st.store.Latest()
 		if err != nil {
-			return nil, 0, nil, fmt.Errorf("loading restart checkpoint: %w", err)
+			return nil, nil, fmt.Errorf("loading restart checkpoint: %w", err)
 		}
 	}
-	var want uint64
+	// The replay starts after record from, at line ckptLine+1.
+	var from, ckptLine uint64
 	if snap != nil {
-		want = snap.Records
+		from, ckptLine = snap.Records, snap.Records+snap.BadRecords
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	consumed := st.consumed
+	if st.consumed < from {
+		// Failed while still dropping the prefix of a create with resume:
+		// the stream re-presents its lines from 1, so replay everything
+		// consumed so far and let the run skip the prefix again (runSource).
+		from, ckptLine = 0, 0
+	}
 	if st.wal != nil {
 		// The replay bound: everything the pipeline may already have seen.
 		// consumedLine covers this incarnation's consumption; walBase covers
@@ -875,50 +857,38 @@ func (st *stream) buildRestart() (snap *checkpoint.Snapshot, synth uint64, repla
 		if st.walBase > bound {
 			bound = st.walBase
 		}
-		if consumed < want {
-			// Crashed while still fast-forwarding a resume: re-present
-			// everything consumed so far (the pipeline discards it again as
-			// part of its own skip) and keep the snapshot.
-			recs, terr := st.wal.Tail(0, bound)
-			if terr != nil {
-				return nil, 0, nil, fmt.Errorf("wal replay: %w", terr)
-			}
-			return snap, 0, walItems(recs), nil
-		}
-		var ckptLine uint64
-		if snap != nil {
-			ckptLine = snap.Records + snap.BadRecords
-		}
 		recs, terr := st.wal.Tail(ckptLine, bound)
 		if terr != nil {
-			return nil, 0, nil, fmt.Errorf("wal replay: %w", terr)
+			return nil, nil, fmt.Errorf("wal replay: %w", terr)
 		}
-		return snap, want, walItems(recs), nil
+		return snap, walItems(recs), nil
 	}
 	if st.replayLost {
-		return nil, 0, nil, fmt.Errorf("replay buffer overflowed ReplayLimit between checkpoints; cannot restart deterministically")
+		return nil, nil, fmt.Errorf("replay buffer overflowed ReplayLimit; cannot restart deterministically")
 	}
-	if consumed < want {
-		// Crashed while still fast-forwarding a process-restart resume:
-		// re-present everything consumed so far (the pipeline discards it
-		// again as part of its own skip) and keep the snapshot.
-		synth = 0
-		replay = append([]queueItem(nil), st.retained...)
-		if gap := verifyReplay(replay, 0, consumed); gap != "" {
-			return nil, 0, nil, fmt.Errorf("replay buffer %s", gap)
-		}
-		return snap, synth, replay, nil
-	}
-	synth = want
 	for _, it := range st.retained {
-		if it.seq > want {
+		if it.line > ckptLine {
 			replay = append(replay, it)
 		}
 	}
-	if gap := verifyReplay(replay, want, consumed); gap != "" {
-		return nil, 0, nil, fmt.Errorf("replay buffer %s", gap)
+	if gap := verifyReplay(replay, from, st.consumed); gap != "" {
+		return nil, nil, fmt.Errorf("replay buffer %s", gap)
 	}
-	return snap, synth, replay, nil
+	return snap, replay, nil
+}
+
+// runSource is one run's record source. A resumed run starts AT snap, as
+// the replay list does — except while consumption is still behind snap: a
+// create with resume, whose client re-sends from line 1, drops the prefix
+// with pipeline.SkipSource until its run has consumed past the checkpoint.
+func (st *stream) runSource(qs *queueSource, snap *checkpoint.Snapshot) pipeline.RecordSource {
+	st.mu.Lock()
+	behind := snap != nil && st.consumed < snap.Records
+	st.mu.Unlock()
+	if behind {
+		return pipeline.SkipSource(qs, int(snap.Records))
+	}
+	return qs
 }
 
 // walItems converts WAL records into replay queue items. Their inflight

@@ -55,9 +55,9 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 			case *GaugeFunc:
 				ss.Value = m.Value()
 			case *Histogram:
+				ss.Bounds, ss.Cumulative = m.Buckets() // before Count; see Observe
 				ss.Count = m.Count()
 				ss.Sum = m.Sum()
-				ss.Bounds, ss.Cumulative = m.Buckets()
 			}
 			fs.Series = append(fs.Series, ss)
 		}

@@ -150,8 +150,10 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
+	// Count before bucket, and snapshots read buckets before Count: a
+	// concurrent snapshot never sees a bucket total above its count.
 	h.count.Add(1)
+	h.counts[i].Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)

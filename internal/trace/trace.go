@@ -66,8 +66,8 @@ const (
 	KindEmit
 	// KindCheckpointSave is the crash-safe snapshot write after delivery.
 	KindCheckpointSave
-	// KindResume is the checkpoint restore + source fast-forward on a
-	// resumed run (a child of the first published window).
+	// KindResume is the checkpoint restore (window rebuild + publisher
+	// restore) of a resumed run, a child of the first published window.
 	KindResume
 	// KindBiasOpt is the publisher's bias optimization (the paper's "Opt"
 	// cost), a child of perturb.

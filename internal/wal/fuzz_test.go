@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -11,7 +12,9 @@ import (
 // FuzzWALDecode throws arbitrary bytes at the frame scanner. Invariants:
 // the decoder never panics, never yields a record past the last fully-valid
 // frame (every yielded record re-validates from the reported good prefix),
-// and yielded lines are strictly sequential — whatever the bytes claim.
+// yielded lines are strictly sequential — whatever the bytes claim — and a
+// validating scan that decodes no record in full accepts exactly the same
+// frames, with the same coordinates and kinds.
 func FuzzWALDecode(f *testing.F) {
 	frame := func(recs ...Record) []byte {
 		var b []byte
@@ -55,7 +58,7 @@ func FuzzWALDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var recs []Record
-		frames, goodLen, err := scanFrames(b, 0, func(r Record) { recs = append(recs, r) })
+		frames, goodLen, err := scanFrames(b, 0, 0, math.MaxUint64, func(r Record) { recs = append(recs, r) })
 		if goodLen > len(b) {
 			t.Fatalf("good prefix %d exceeds input %d", goodLen, len(b))
 		}
@@ -68,10 +71,21 @@ func FuzzWALDecode(f *testing.F) {
 		// Nothing beyond the last valid frame: rescanning the reported good
 		// prefix must yield exactly the same records, cleanly.
 		recs2 := recs[:0:0]
-		frames2, goodLen2, err2 := scanFrames(b[:goodLen], 0, func(r Record) { recs2 = append(recs2, r) })
+		frames2, goodLen2, err2 := scanFrames(b[:goodLen], 0, 0, math.MaxUint64, func(r Record) { recs2 = append(recs2, r) })
 		if err2 != nil || frames2 != frames || goodLen2 != goodLen {
 			t.Fatalf("good prefix does not rescan cleanly: frames %d/%d, len %d/%d, err %v",
 				frames2, frames, goodLen2, goodLen, err2)
+		}
+		var lite []Record
+		frames3, goodLen3, err3 := scanFrames(b, 0, 0, 0, func(r Record) { lite = append(lite, r) })
+		if frames3 != frames || goodLen3 != goodLen || (err3 == nil) != (err == nil) {
+			t.Fatalf("validating scan disagrees: frames %d/%d, len %d/%d, err %v/%v",
+				frames3, frames, goodLen3, goodLen, err3, err)
+		}
+		for i, r := range lite {
+			if r.Line != recs[i].Line || r.Seq != recs[i].Seq || (r.Bad == nil) != (recs[i].Bad == nil) {
+				t.Fatalf("validating scan frame %d: %+v, full decode %+v", i, r, recs[i])
+			}
 		}
 		prev := uint64(0)
 		for i, r := range recs {
@@ -96,7 +110,7 @@ func FuzzWALDecode(f *testing.F) {
 			re = append(re, buildFrame(r)...)
 		}
 		n3 := 0
-		if _, _, err := scanFrames(re, 0, func(Record) { n3++ }); err != nil || n3 != len(recs) {
+		if _, _, err := scanFrames(re, 0, 0, math.MaxUint64, func(Record) { n3++ }); err != nil || n3 != len(recs) {
 			t.Fatalf("re-encoded records do not round-trip: %d of %d, err %v", n3, len(recs), err)
 		}
 	})
@@ -110,7 +124,7 @@ func FuzzWALPayload(f *testing.F) {
 	f.Add([]byte{1, 0})
 	f.Add([]byte{1, 2, 0})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		rec, err := decodePayload(payload)
+		rec, err := decodePayload(payload, true)
 		if err != nil {
 			return
 		}

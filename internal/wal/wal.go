@@ -331,7 +331,7 @@ func (l *Log) recover() (Report, error) {
 			syncDir(l.dir)
 			break
 		}
-		_, goodLen, serr := scanFrames(buf[segHeader:], prev, func(r Record) {
+		_, goodLen, serr := scanFrames(buf[segHeader:], prev, 0, 0, func(r Record) {
 			rep.Frames++
 			rep.LastLine, prev = r.Line, r.Line
 			if r.Bad == nil {
@@ -419,13 +419,18 @@ func checkSegHeader(path string, buf []byte) (uint64, error) {
 }
 
 // scanFrames walks frames in b, calling fn for each valid one. Lines must
-// be strictly sequential from prev+1. It returns the frame count, the byte
-// length of the valid prefix, and the error that stopped the scan (nil when
-// every byte validated).
-func scanFrames(b []byte, prev uint64, fn func(Record)) (frames, goodLen int, err error) {
+// be strictly sequential from prev+1. Every frame is validated in full —
+// checksum, kind, item gaps, string bounds, no trailing bytes — but only
+// frames with from < line <= to are decoded into a complete Record; fn sees
+// the rest with their coordinates and kind alone (no items, and a
+// placeholder Bad for a malformed line), which is all a recovery scan
+// needs, at no allocation per frame. It returns the frame count, the byte
+// length of the valid prefix, and the error that stopped the scan (nil
+// when every byte validated).
+func scanFrames(b []byte, prev, from, to uint64, fn func(Record)) (frames, goodLen int, err error) {
 	off := 0
 	for off < len(b) {
-		rec, n, err := decodeFrame(b[off:])
+		rec, n, err := decodeFrame(b[off:], prev+1 > from && prev+1 <= to)
 		if err != nil {
 			// A bad frame that is the last thing in the buffer looks like a
 			// torn write even when its length header survived.
@@ -448,9 +453,9 @@ func scanFrames(b []byte, prev uint64, fn func(Record)) (frames, goodLen int, er
 }
 
 // decodeFrame parses one frame at the start of b, returning the record and
-// the total frame length. It never panics; n is 0 when even the frame
-// header is unusable.
-func decodeFrame(b []byte) (Record, int, error) {
+// the total frame length; full selects a complete decode (see scanFrames).
+// It never panics; n is 0 when even the frame header is unusable.
+func decodeFrame(b []byte, full bool) (Record, int, error) {
 	if len(b) < frameOverhead {
 		return Record{}, 0, fmt.Errorf("%w: %d-byte frame header", errTorn, len(b))
 	}
@@ -467,7 +472,7 @@ func decodeFrame(b []byte) (Record, int, error) {
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return Record{}, total, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, sum)
 	}
-	rec, err := decodePayload(payload)
+	rec, err := decodePayload(payload, full)
 	if err != nil {
 		return Record{}, total, err
 	}
@@ -533,7 +538,8 @@ func (r *payloadReader) varint() (int64, error) {
 	return v, nil
 }
 
-func (r *payloadReader) str(what string) (string, error) {
+// str reads a length-prefixed string, copying it out only when keep is set.
+func (r *payloadReader) str(what string, keep bool) (string, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return "", err
@@ -542,12 +548,22 @@ func (r *payloadReader) str(what string) (string, error) {
 		return "", fmt.Errorf("%w: %s length %d exceeds %d remaining bytes",
 			ErrCorrupt, what, n, r.remaining())
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	var s string
+	if keep {
+		s = string(r.b[r.off : r.off+int(n)])
+	}
 	r.off += int(n)
 	return s, nil
 }
 
-func decodePayload(payload []byte) (Record, error) {
+// skippedBad is the placeholder Bad of a malformed-line frame validated
+// without a full decode; it never leaves the package.
+var skippedBad = &data.ParseError{}
+
+// decodePayload validates a frame payload and decodes it: in full, or —
+// full false — just its coordinates and kind, with the same checks on every
+// byte and nothing allocated.
+func decodePayload(payload []byte, full bool) (Record, error) {
 	r := &payloadReader{b: payload}
 	var rec Record
 	var err error
@@ -575,8 +591,20 @@ func decodePayload(payload []byte) (Record, error) {
 			return Record{}, fmt.Errorf("%w: item count %d exceeds %d remaining bytes",
 				ErrCorrupt, n, r.remaining())
 		}
-		items := make([]itemset.Item, n)
 		prev := int64(-1)
+		if !full {
+			for i := uint64(0); i < n; i++ {
+				gap, err := r.uvarint()
+				if err != nil {
+					return Record{}, err
+				}
+				if prev += 1 + int64(gap); prev > math.MaxInt32 {
+					return Record{}, fmt.Errorf("%w: item id %d overflows", ErrCorrupt, prev)
+				}
+			}
+			break
+		}
+		items := make([]itemset.Item, n)
 		for i := range items {
 			gap, err := r.uvarint()
 			if err != nil {
@@ -598,15 +626,18 @@ func decodePayload(payload []byte) (Record, error) {
 		if line < 0 || line > math.MaxInt32 {
 			return Record{}, fmt.Errorf("%w: parse line %d out of range", ErrCorrupt, line)
 		}
-		token, err := r.str("bad token")
+		token, err := r.str("bad token", full)
 		if err != nil {
 			return Record{}, err
 		}
-		msg, err := r.str("bad reason")
+		msg, err := r.str("bad reason", full)
 		if err != nil {
 			return Record{}, err
 		}
-		rec.Bad = &data.ParseError{Line: int(line), Token: token, Err: errors.New(msg)}
+		rec.Bad = skippedBad
+		if full {
+			rec.Bad = &data.ParseError{Line: int(line), Token: token, Err: errors.New(msg)}
+		}
 	default:
 		return Record{}, fmt.Errorf("%w: frame kind %d", ErrCorrupt, kind)
 	}
@@ -849,7 +880,7 @@ func (l *Log) Tail(from, to uint64) ([]Record, error) {
 		if len(buf) < segHeader {
 			return nil, fmt.Errorf("wal: segment %s shorter than its header", seg.path)
 		}
-		if _, _, err := scanFrames(buf[segHeader:], seg.base-1, func(r Record) {
+		if _, _, err := scanFrames(buf[segHeader:], seg.base-1, from, to, func(r Record) {
 			if r.Line > from && r.Line <= to {
 				out = append(out, r)
 			}
