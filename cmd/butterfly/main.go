@@ -235,8 +235,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	// The telemetry registry always exists — the end-of-run summary is
 	// sourced from it, whether or not it is served over HTTP — so the
 	// normal and interrupted summary paths read the same counters. The
-	// flight recorder exists whenever anything can read it: a -trace-out
-	// file, or the live /debug/trace/events endpoint.
+	// flight-recorder ring exists whenever anything can read it: a
+	// -trace-out file, or the live /debug/trace/events endpoint. Without
+	// it the pipeline still times its spans into reg, ring-less.
 	reg := telemetry.NewRegistry()
 	var tracer *trace.Tracer
 	if *traceOut != "" || *telemetryAddr != "" {

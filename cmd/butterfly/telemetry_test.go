@@ -87,8 +87,8 @@ func TestRunTelemetryLiveScrape(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE butterfly_records_total counter",
-		"# TYPE butterfly_stage_seconds histogram",
-		`butterfly_stage_seconds_bucket{stage="mine",le="+Inf"}`,
+		"# TYPE butterfly_trace_span_seconds histogram",
+		`butterfly_trace_span_seconds_bucket{span="mine",le="+Inf"}`,
 		"# TYPE butterfly_privacy_avg_prig gauge",
 	} {
 		if !strings.Contains(metrics, want) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fec"
 	"repro/internal/itemset"
+	"repro/internal/metrics"
 	"repro/internal/mining"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -107,6 +108,7 @@ type Publisher struct {
 	drawScratch   []int             // batched shared-draw offsets, one per class
 	keyBuf        []byte            // AppendKey scratch for cache lookups
 	perChunk      [][]chunkItem     // parallel path: per-chunk item buffers
+	pairScratch   []metrics.Pair    // posture telemetry: the window's pair-rate prefix
 
 	// Incremental bias reuse (the paper's §VII "incremental version"
 	// future work): when consecutive windows produce the same FEC ladder —
@@ -220,7 +222,6 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 	biases, err := pub.biasesFor(classes)
 	optTook := time.Since(t0)
 	pub.optDur += optTook
-	pub.recordBiasOpt(optTook)
 	pub.tr.Add(trace.KindBiasOpt, t0, optTook).
 		Attr(trace.AttrBiasReused, int64(pub.biasReuses-reusesBefore))
 	if err != nil {
@@ -249,6 +250,9 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 	} else {
 		hits, misses = pub.perturbSequential(out, classes, biases, half)
 	}
+	// The window's §V-C posture (telemetry.go) reads the items while they
+	// still line up with the classes' members; a no-op without a registry.
+	pub.recordPosture(classes, out.Items)
 	slices.SortFunc(out.Items, func(a, b PublishedItemset) int {
 		if a.Support != b.Support {
 			return b.Support - a.Support
@@ -259,12 +263,11 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 		return itemset.Compare(a.Set, b.Set)
 	})
 	pub.sweepCache()
-	// Observability, strictly after the output is final: cache traffic and
-	// the window's §V-C posture (telemetry.go), plus the cache child span —
-	// it covers the perturbation interval the cache served, carrying the
-	// hit/miss tally. No-ops without a registry / trace window.
+	// Observability, strictly after the output is final: cache traffic
+	// (telemetry.go), plus the cache child span — it covers the
+	// perturbation interval the cache served, carrying the hit/miss tally.
+	// No-ops without a registry / trace window.
 	pub.recordCache(hits, misses)
-	pub.recordPosture(classes, out)
 	cs := pub.tr.Add(trace.KindCache, t0, time.Since(t0))
 	cs.Attr(trace.AttrCacheHits, int64(hits))
 	cs.Attr(trace.AttrCacheMisses, int64(misses))

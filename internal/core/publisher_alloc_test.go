@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/itemset"
 	"repro/internal/mining"
+	"repro/internal/telemetry"
 )
 
 // pinBounds: measured steady state is ~5 allocs/window at workers=1 and
@@ -50,12 +51,17 @@ func denseResult(nClasses, perClass, baseSupport int) *mining.Result {
 	return mining.NewResult(baseSupport, sets)
 }
 
-func pinPublishAllocs(t *testing.T, workers int, cacheHits bool) {
+func pinPublishAllocs(t *testing.T, workers int, cacheHits, registry bool) {
 	if raceEnabled {
 		t.Skip("allocation pins are meaningless under the race detector's shadow allocations")
 	}
 	pub := newTestPublisher(t, Hybrid{Lambda: 0.4})
 	pub.SetWorkers(workers)
+	if registry {
+		// Telemetry reads every published itemset's sanitized support; it
+		// must do so without an allocation per itemset.
+		pub.SetMetrics(telemetry.NewRegistry())
+	}
 	if !cacheHits {
 		// DELIBERATELY INSECURE test mode: disabling consistent
 		// republication forces the miss path every window.
@@ -78,7 +84,8 @@ func pinPublishAllocs(t *testing.T, workers int, cacheHits bool) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("workers=%d cacheHits=%v: %.1f allocs/window for %d itemsets", workers, cacheHits, allocs, steady.Len())
+	t.Logf("workers=%d cacheHits=%v registry=%v: %.1f allocs/window for %d itemsets",
+		workers, cacheHits, registry, allocs, steady.Len())
 	if allocs > bound {
 		t.Errorf("steady-state Publish allocates %.1f objects/window (workers=%d, cacheHits=%v, %d itemsets), want <= %.0f",
 			allocs, workers, cacheHits, steady.Len(), bound)
@@ -95,8 +102,10 @@ func TestPublishAllocsPinned(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		for _, hits := range []bool{true, false} {
 			name := fmt.Sprintf("workers=%d/hits=%v", workers, hits)
-			t.Run(name, func(t *testing.T) { pinPublishAllocs(t, workers, hits) })
+			t.Run(name, func(t *testing.T) { pinPublishAllocs(t, workers, hits, false) })
 		}
+		name := fmt.Sprintf("workers=%d/hits=true/registry", workers)
+		t.Run(name, func(t *testing.T) { pinPublishAllocs(t, workers, true, true) })
 	}
 	t.Run("workers=1/memo=miss", pinMemoMissAllocs)
 }

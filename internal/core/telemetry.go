@@ -31,8 +31,6 @@ package core
 // with cmd/experiments.
 
 import (
-	"time"
-
 	"repro/internal/fec"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
@@ -40,15 +38,14 @@ import (
 
 // Publisher metric names (see OBSERVABILITY.md for the full reference).
 const (
-	MetricCacheHits      = "butterfly_cache_hits_total"
-	MetricCacheMisses    = "butterfly_cache_misses_total"
-	MetricCacheEntries   = "butterfly_cache_entries"
-	MetricBiasReuses     = "butterfly_bias_reuses_total"
-	MetricBiasOptSeconds = "butterfly_bias_opt_seconds"
-	MetricAvgPred        = "butterfly_privacy_avg_pred"
-	MetricAvgPrig        = "butterfly_privacy_avg_prig"
-	MetricROPP           = "butterfly_privacy_ropp"
-	MetricRRPP           = "butterfly_privacy_rrpp"
+	MetricCacheHits    = "butterfly_cache_hits_total"
+	MetricCacheMisses  = "butterfly_cache_misses_total"
+	MetricCacheEntries = "butterfly_cache_entries"
+	MetricBiasReuses   = "butterfly_bias_reuses_total"
+	MetricAvgPred      = "butterfly_privacy_avg_pred"
+	MetricAvgPrig      = "butterfly_privacy_avg_prig"
+	MetricROPP         = "butterfly_privacy_ropp"
+	MetricRRPP         = "butterfly_privacy_rrpp"
 )
 
 // privacyRollWindows is the length of the rolling aggregate behind the
@@ -70,7 +67,6 @@ type pubMetrics struct {
 	cacheMisses  *telemetry.Counter
 	cacheEntries *telemetry.Gauge
 	biasReuses   *telemetry.Counter
-	biasOpt      *telemetry.Histogram
 	avgPred      *telemetry.Gauge
 	avgPrig      *telemetry.Gauge
 	ropp         *telemetry.Gauge
@@ -99,8 +95,6 @@ func (pub *Publisher) SetMetrics(reg *telemetry.Registry) {
 			"Live republication-cache entries after the last sweep.", nil),
 		biasReuses: reg.Counter(MetricBiasReuses,
 			"Publish calls that reused the previous window's bias optimization.", nil),
-		biasOpt: reg.Histogram(MetricBiasOptSeconds,
-			"Per-window bias optimization latency (the paper's Opt cost).", nil, nil),
 		avgPred: reg.Gauge(MetricAvgPred,
 			"Rolling mean precision degradation of published supports (bounded by epsilon).", nil),
 		avgPrig: reg.Gauge(MetricAvgPrig,
@@ -124,22 +118,21 @@ func (pub *Publisher) recordCache(hits, misses int) {
 }
 
 // recordPosture computes the window-local §V-C measures from the FEC
-// partition (true supports) and the assembled output (sanitized supports),
+// partition (true supports) and the perturbed items (sanitized supports),
 // pushes them into the rolling ring, and refreshes the gauges with the
-// rolling means.
-func (pub *Publisher) recordPosture(classes []fec.Class, out *Output) {
+// rolling means. items must be the output in perturbation order — before
+// Publish sorts it — where it lines up one-to-one with the classes'
+// members, so the two are walked in lockstep instead of looked up by key.
+func (pub *Publisher) recordPosture(classes []fec.Class, items []PublishedItemset) {
 	if pub.metrics == nil {
 		return
 	}
-	pairs := make([]metrics.Pair, 0, min(fec.TotalMembers(classes), metricsPairCap))
+	pairs := pub.pairScratch[:0]
 	var sumPred, sumSq float64
 	n := 0
 	for _, class := range classes {
-		for _, member := range class.Members {
-			san, ok := out.Support(member)
-			if !ok {
-				continue
-			}
+		for range class.Members {
+			san := items[n].Support
 			d := float64(san - class.Support)
 			t := float64(class.Support)
 			sumPred += (d / t) * (d / t)
@@ -150,6 +143,7 @@ func (pub *Publisher) recordPosture(classes []fec.Class, out *Output) {
 			}
 		}
 	}
+	pub.pairScratch = pairs
 	if n == 0 {
 		return
 	}
@@ -179,13 +173,6 @@ func (pub *Publisher) recordPosture(classes []fec.Class, out *Output) {
 	m.avgPrig.Set(sum.prig / float64(span))
 	m.ropp.Set(sum.ropp / float64(span))
 	m.rrpp.Set(sum.rrpp / float64(span))
-}
-
-// recordBiasOpt adds one window's bias-optimization latency.
-func (pub *Publisher) recordBiasOpt(took time.Duration) {
-	if pub.metrics != nil {
-		pub.metrics.biasOpt.Observe(took.Seconds())
-	}
 }
 
 // recordBiasReuse counts one incremental-path reuse.

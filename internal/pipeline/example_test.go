@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Example runs a three-window publication over a synthetic click stream:
@@ -44,7 +45,7 @@ func Example() {
 // Example_telemetry attaches a telemetry.Registry to the same run. The
 // registry is observation-only — the published windows are byte-identical
 // with or without it — and afterwards holds the run's throughput counters,
-// per-stage latency histograms, and the rolling privacy-posture gauges that
+// per-span latency histograms, and the rolling privacy-posture gauges that
 // cmd/butterfly serves at /metrics.
 func Example_telemetry() {
 	reg := telemetry.NewRegistry()
@@ -69,11 +70,14 @@ func Example_telemetry() {
 	fmt.Printf("records consumed: %d\n", reg.CounterValue(pipeline.MetricRecords))
 	fmt.Printf("windows published: %d\n", reg.CounterValue(pipeline.MetricWindows))
 	// Durations vary run to run, but the histogram COUNTS are exact: every
-	// stage observed every window.
+	// stage span observed every window.
 	for _, f := range reg.Snapshot() {
-		if f.Name == pipeline.MetricStageSeconds {
+		if f.Name == trace.MetricSpanSeconds {
 			for _, s := range f.Series {
-				fmt.Printf("%s%s observations: %d\n", f.Name, s.Labels, s.Count)
+				switch s.Labels {
+				case `{span="mine"}`, `{span="perturb"}`, `{span="emit"}`:
+					fmt.Printf("%s%s observations: %d\n", f.Name, s.Labels, s.Count)
+				}
 			}
 		}
 	}
@@ -86,8 +90,8 @@ func Example_telemetry() {
 	// Output:
 	// records consumed: 500
 	// windows published: 3
-	// butterfly_stage_seconds{stage="emit"} observations: 3
-	// butterfly_stage_seconds{stage="mine"} observations: 3
-	// butterfly_stage_seconds{stage="perturb"} observations: 3
+	// butterfly_trace_span_seconds{span="emit"} observations: 3
+	// butterfly_trace_span_seconds{span="mine"} observations: 3
+	// butterfly_trace_span_seconds{span="perturb"} observations: 3
 	// avg_prig >= delta: true
 }

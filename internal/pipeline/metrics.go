@@ -4,13 +4,13 @@ package pipeline
 // one pre-registered instrument per stage signal, recorded through nil-safe
 // methods so a run without telemetry (Config.Metrics == nil) pays a single
 // pointer test per event. Everything recorded here is observational —
-// wall-times, counts and sizes of work the pipeline was doing anyway; the
-// A/B identity tests pin published bytes equal with metrics on and off.
+// counts and sizes of work the pipeline was doing anyway; durations are
+// spans (trace.go), not instruments of this file. The A/B identity tests
+// pin published bytes equal with metrics on and off.
 
 import (
-	"time"
-
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Pipeline metric names (see OBSERVABILITY.md for the full reference).
@@ -22,23 +22,22 @@ const (
 	MetricPanics        = "butterfly_panics_recovered_total"
 	MetricWatchdogTrips = "butterfly_watchdog_trips_total"
 	MetricCheckpoints   = "butterfly_checkpoints_total"
-	MetricCkptSave      = "butterfly_checkpoint_save_seconds"
 	MetricCkptKindSaves = "butterfly_checkpoint_delta_saves_total"
 	MetricCkptChain     = "butterfly_checkpoint_delta_chain_frames"
 	MetricCkptBytes     = "butterfly_checkpoint_delta_bytes"
-	MetricResumeSeconds = "butterfly_resume_seconds"
-	MetricStageSeconds  = "butterfly_stage_seconds"
 	MetricWindowSets    = "butterfly_window_itemsets"
 )
 
 // RegisterMetrics pre-registers the pipeline's full instrument set on reg
-// without running a stream — registration alone defines the namespace. The
+// — its own instruments and the span family its tracer feeds — without
+// running a stream; registration alone defines the namespace. The
 // cross-package observability doc-sync test uses this to assemble the
 // complete metric surface (pipeline + publisher + tracer + server) in one
 // registry; a run with Config.Metrics = reg registers the same names
 // idempotently.
 func RegisterMetrics(reg *telemetry.Registry) {
 	newPipeMetrics(reg)
+	trace.NewRingless(reg)
 }
 
 // pipeMetrics holds the pipeline's registered instruments. A nil
@@ -57,13 +56,8 @@ type pipeMetrics struct {
 	deltaSaves  *telemetry.Counter
 	chainFrames *telemetry.Gauge
 
-	mineDur    *telemetry.Histogram
-	perturbDur *telemetry.Histogram
-	emitDur    *telemetry.Histogram
-	ckptSave   *telemetry.Histogram
 	fullBytes  *telemetry.Histogram
 	deltaBytes *telemetry.Histogram
-	resumeDur  *telemetry.Gauge
 	windowSets *telemetry.Gauge
 }
 
@@ -73,11 +67,6 @@ type pipeMetrics struct {
 func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 	if reg == nil {
 		return nil
-	}
-	stage := func(name string) *telemetry.Histogram {
-		return reg.Histogram(MetricStageSeconds,
-			"Per-window wall time of each pipeline stage (mine includes record ingest).",
-			nil, telemetry.Labels{"stage": name})
 	}
 	return &pipeMetrics{
 		records: reg.Counter(MetricRecords,
@@ -106,19 +95,12 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 			telemetry.Labels{"kind": "delta"}),
 		chainFrames: reg.Gauge(MetricCkptChain,
 			"Delta frames in the current chain since its anchor full snapshot (0 right after a full save).", nil),
-		mineDur:    stage("mine"),
-		perturbDur: stage("perturb"),
-		emitDur:    stage("emit"),
-		ckptSave: reg.Histogram(MetricCkptSave,
-			"Checkpoint save latency (encode + fsync + rename + prune).", nil, nil),
 		fullBytes: reg.Histogram(MetricCkptBytes,
 			"Bytes written per persisted checkpoint generation, by kind.",
 			ckptByteBuckets, telemetry.Labels{"kind": "full"}),
 		deltaBytes: reg.Histogram(MetricCkptBytes,
 			"Bytes written per persisted checkpoint generation, by kind.",
 			ckptByteBuckets, telemetry.Labels{"kind": "delta"}),
-		resumeDur: reg.Gauge(MetricResumeSeconds,
-			"Wall time of the last checkpoint restore (window rebuild + publisher restore).", nil),
 		windowSets: reg.Gauge(MetricWindowSets,
 			"Published itemsets in the most recent window.", nil),
 	}
@@ -171,10 +153,9 @@ func (m *pipeMetrics) addWatchdogTrip() {
 // split is visible at a glance.
 var ckptByteBuckets = []float64{256, 1024, 4096, 16384, 65536, 262144, 1048576}
 
-func (m *pipeMetrics) addCheckpoint(took time.Duration) {
+func (m *pipeMetrics) addCheckpoint() {
 	if m != nil {
 		m.checkpoints.Inc()
-		m.ckptSave.Observe(took.Seconds())
 	}
 }
 
@@ -192,28 +173,4 @@ func (m *pipeMetrics) addCheckpointSave(full bool, bytes, chainFrames int) {
 		m.deltaBytes.Observe(float64(bytes))
 	}
 	m.chainFrames.Set(float64(chainFrames))
-}
-
-func (m *pipeMetrics) observeStage(h func(*pipeMetrics) *telemetry.Histogram, took time.Duration) {
-	if m != nil {
-		h(m).Observe(took.Seconds())
-	}
-}
-
-func (m *pipeMetrics) observeMine(took time.Duration) {
-	m.observeStage(func(m *pipeMetrics) *telemetry.Histogram { return m.mineDur }, took)
-}
-
-func (m *pipeMetrics) observePerturb(took time.Duration) {
-	m.observeStage(func(m *pipeMetrics) *telemetry.Histogram { return m.perturbDur }, took)
-}
-
-func (m *pipeMetrics) observeEmit(took time.Duration) {
-	m.observeStage(func(m *pipeMetrics) *telemetry.Histogram { return m.emitDur }, took)
-}
-
-func (m *pipeMetrics) observeResume(took time.Duration) {
-	if m != nil {
-		m.resumeDur.Set(took.Seconds())
-	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/itemset"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // funcSource adapts a closure to the RecordSource interface (test-only).
@@ -119,17 +120,13 @@ func TestTelemetryRecording(t *testing.T) {
 			}
 		}
 	}
-	for _, stage := range []string{"mine", "perturb", "emit"} {
-		key := MetricStageSeconds + `{stage="` + stage + `"}`
+	// Durations are spans: a registry alone makes the run time every
+	// stage, checkpoint save and bias optimization into the span family.
+	for _, span := range []string{"mine", "perturb", "emit", "checkpoint.save", "bias.opt"} {
+		key := trace.MetricSpanSeconds + `{span="` + span + `"}`
 		if histCounts[key] != windows {
-			t.Errorf("stage %s observed %d windows, want %d", stage, histCounts[key], windows)
+			t.Errorf("span %s observed %d windows, want %d", span, histCounts[key], windows)
 		}
-	}
-	if histCounts[MetricCkptSave] != windows {
-		t.Errorf("checkpoint-save histogram observed %d, want %d", histCounts[MetricCkptSave], windows)
-	}
-	if histCounts[core.MetricBiasOptSeconds] != windows {
-		t.Errorf("bias-opt histogram observed %d, want %d", histCounts[core.MetricBiasOptSeconds], windows)
 	}
 
 	// A slide of 100 over a window of 300 keeps most itemsets' supports

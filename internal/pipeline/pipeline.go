@@ -141,11 +141,13 @@ type Config struct {
 	// snapshot's configuration fingerprint must match this Config.
 	Resume *checkpoint.Snapshot
 
-	// Metrics, when non-nil, receives the run's telemetry: per-stage
-	// wall-time histograms, record/retry/quarantine/checkpoint counters,
-	// and the publisher's cache and §V-C posture gauges (see
-	// OBSERVABILITY.md). Telemetry is observation-only — published output
-	// is byte-identical with Metrics set or nil at every worker count.
+	// Metrics, when non-nil, receives the run's telemetry:
+	// record/retry/quarantine/checkpoint counters, the publisher's cache and
+	// §V-C posture gauges, and — through a ring-less tracer when Trace is
+	// nil — the span histograms that time every stage, checkpoint save,
+	// resume and bias optimization (see OBSERVABILITY.md). Telemetry is
+	// observation-only — published output is byte-identical with Metrics
+	// set or nil at every worker count.
 	Metrics *telemetry.Registry
 
 	// Warnf, when non-nil, receives the warnings the run absorbs without
@@ -157,15 +159,17 @@ type Config struct {
 	// statusLogger). Route it into a *slog.Logger or equivalent.
 	Warnf func(format string, args ...any)
 
-	// Trace, when non-nil, records each published window into the
-	// in-process flight recorder: a root span per window with child spans
-	// for source/mine/perturb/emit/checkpoint.save (and resume after a
-	// restart), plus the publisher's bias-optimization and
-	// republication-cache spans, all nested under the window's track (see
-	// internal/trace and OBSERVABILITY.md §Tracing). Like Metrics, tracing
-	// is strictly observation-only — published output is byte-identical
-	// with Trace set or nil at every worker count — and the span hot path
-	// does not allocate after warm-up.
+	// Trace, when non-nil, is the tracer the run records its spans into
+	// instead of the ring-less one Metrics implies — pass a trace.New
+	// tracer to keep the in-process flight recorder, and attach the
+	// registry to it with SetMetrics. Each published window gets a root
+	// span with child spans for source/mine/perturb/emit/checkpoint.save
+	// (and resume after a restart), plus the publisher's bias-optimization
+	// and republication-cache spans, all nested under the window's track
+	// (see internal/trace and OBSERVABILITY.md §Tracing). Like Metrics,
+	// tracing is strictly observation-only — published output is
+	// byte-identical with Trace set or nil at every worker count — and the
+	// span hot path does not allocate after warm-up.
 	Trace *trace.Tracer
 }
 
@@ -422,7 +426,7 @@ func (p *Pipeline) RunContext(ctx context.Context, src RecordSource, emit func(W
 		// Restore before any stage starts: rebuild the miner from the
 		// snapshot's window buffer and restore the publisher. The source
 		// already starts past the snapshot, so the run's counts continue
-		// from it. The resume gauge and span cover exactly this restore.
+		// from it. The resume span covers exactly this restore.
 		t0 := time.Now()
 		if err := p.cfg.verifyResume(rs); err != nil {
 			return nil, err
@@ -436,7 +440,6 @@ func (p *Pipeline) RunContext(ctx context.Context, src RecordSource, emit func(W
 		run.resume = rs
 		run.seedCounts(rs)
 		run.resumeStart, run.resumeDur = t0, time.Since(t0)
-		run.metrics.observeResume(run.resumeDur)
 	}
 	if run.ckpts != nil && run.fullEvery > 1 {
 		// Delta generations serialize only the cache entries touched since
@@ -549,12 +552,10 @@ func (r *runState) mineLoop(stream *core.Stream, src RecordSource, mined chan<- 
 		}
 		published++
 		m := r.newMined(stream, pos, published, false)
-		// The mine-stage observation ends when the snapshot is materialized,
-		// BEFORE the (possibly backpressured) hand-off to perturb — it
-		// measures mining work, not downstream congestion.
-		mineDur := time.Since(windowStart)
-		r.metrics.observeMine(mineDur)
-		m.tr = r.finishMineSpans(tw, windowStart, mineDur, srcDur, srcRecords, pos, m.res.Len())
+		// The mine span ends when the snapshot is materialized, BEFORE the
+		// (possibly backpressured) hand-off to perturb — it measures mining
+		// work, not downstream congestion.
+		m.tr = r.finishMineSpans(tw, windowStart, srcDur, srcRecords, pos, m.res.Len())
 		if !sendOrDone(r, mined, m) {
 			return
 		}
@@ -576,9 +577,7 @@ func (r *runState) mineLoop(stream *core.Stream, src RecordSource, mined chan<- 
 		// this is the graceful-drain snapshot a restarted service resumes
 		// from.
 		m := r.newMined(stream, pos, published, true)
-		mineDur := time.Since(windowStart)
-		r.metrics.observeMine(mineDur)
-		m.tr = r.finishMineSpans(tw, windowStart, mineDur, srcDur, srcRecords, pos, m.res.Len())
+		m.tr = r.finishMineSpans(tw, windowStart, srcDur, srcRecords, pos, m.res.Len())
 		sendOrDone(r, mined, m)
 	}
 }
@@ -732,9 +731,7 @@ func (r *runState) perturbLoop(stream *core.Stream, cfg Config, mined <-chan min
 			out, e = stream.Publisher().Publish(m.res, cfg.WindowSize)
 			return e
 		})
-		perturbDur := time.Since(t0)
-		r.metrics.observePerturb(perturbDur)
-		m.tr.Add(trace.KindPerturb, t0, perturbDur)
+		m.tr.Add(trace.KindPerturb, t0, time.Since(t0))
 		if err != nil {
 			// The failed window still lands in the flight recorder — the
 			// abort-path trace dump should show what was in flight.
@@ -785,9 +782,7 @@ func (r *runState) emitLoop(outs <-chan Window, emit func(Window) error) {
 			return r.withRetries(fmt.Sprintf("emitting window at position %d", w.Position), w.tr,
 				func() error { attempts++; return emit(w) })
 		})
-		emitDur := time.Since(t0)
-		r.metrics.observeEmit(emitDur)
-		sp := w.tr.Add(trace.KindEmit, t0, emitDur)
+		sp := w.tr.Add(trace.KindEmit, t0, time.Since(t0))
 		if attempts > 0 {
 			sp.Attr(trace.AttrRetries, attempts-1)
 		}
@@ -810,15 +805,14 @@ func (r *runState) emitLoop(outs <-chan Window, emit func(Window) error) {
 			} else {
 				saveErr = r.ckpts.AppendDelta(w.delta)
 			}
-			saveDur := time.Since(c0)
-			w.tr.Add(trace.KindCheckpointSave, c0, saveDur)
+			w.tr.Add(trace.KindCheckpointSave, c0, time.Since(c0))
 			if saveErr != nil {
 				r.tracer.Commit(w.tr)
 				r.fail(fmt.Errorf("pipeline: checkpointing window at position %d: %w", w.Position, saveErr))
 				continue
 			}
 			r.addCheckpoint()
-			r.metrics.addCheckpoint(saveDur)
+			r.metrics.addCheckpoint()
 			r.metrics.addCheckpointSave(full, r.ckpts.LastSaveBytes(), r.ckpts.ChainFrames())
 		}
 		// The window is fully delivered (and checkpointed when due): commit

@@ -300,6 +300,9 @@ func TestResumeBadRecordBudgetSpansRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = p.RunContext(context.Background(), src, emit)
+		// The mine stage fails the run while the emit stage may still be
+		// saving a checkpoint; join it before the store's directory goes.
+		p.Wait()
 		return err
 	}
 	want := run(resumeConfig(2, nil, 0), in.sourceAfter(0), func(pipeline.Window) error { return nil })

@@ -123,9 +123,9 @@ type runState struct {
 
 	// Observability: the registered instrument set (nil without a
 	// Config.Metrics registry; every recording method is nil-safe), the
-	// flight recorder receiving per-window spans (nil disables tracing;
-	// every trace method is nil-safe too), and when the resume restore
-	// began and how long it took (the resume gauge and span).
+	// tracer receiving per-window spans (Config.spanTracer; nil disables
+	// tracing, and every trace method is nil-safe too), and when the
+	// resume restore began and how long it took (the resume span).
 	metrics     *pipeMetrics
 	tracer      *trace.Tracer
 	resumeStart time.Time
@@ -152,7 +152,7 @@ func newRunState(ctx context.Context, cfg Config) *runState {
 		buffer = 4
 	}
 	return &runState{cfg: cfg, ctx: rctx, cancel: cancel,
-		metrics: newPipeMetrics(cfg.Metrics), tracer: cfg.Trace,
+		metrics: newPipeMetrics(cfg.Metrics), tracer: cfg.spanTracer(),
 		// Capacity covers every in-flight window (both channels plus the
 		// stages' hands) so steady state recycles rather than drops.
 		results: make(chan *mining.Result, 2*buffer+4)}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // docMetricName matches the first column of the OBSERVABILITY.md metric
@@ -38,7 +37,6 @@ func TestObservabilityDocSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub.SetMetrics(reg)
-	trace.New(trace.Options{}).SetMetrics(reg)
 	RegisterMetrics(reg)
 	registered := reg.Names()
 	if len(registered) == 0 {

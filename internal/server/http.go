@@ -245,7 +245,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", errStreamNotFound, r.PathValue("id")))
 		return
 	}
-	if st.tracer == nil {
+	if st.tracer.Capacity() == 0 {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("stream %s has no flight recorder (create with trace_windows > 0)", st.id))
 		return

@@ -27,7 +27,6 @@ const (
 	MetricStreamRecords    = "butterfly_server_stream_records_total"
 	MetricStreamWindows    = "butterfly_server_stream_windows_total"
 	MetricDrainSeconds     = "butterfly_server_drain_seconds"
-	MetricIngestSeconds    = "butterfly_server_ingest_seconds"
 	MetricQueueAge         = "butterfly_server_queue_age_seconds"
 	MetricQueueDepth       = "butterfly_server_queue_depth"
 	MetricE2ESeconds       = "butterfly_server_e2e_seconds"
@@ -104,7 +103,6 @@ type serverMetrics struct {
 	inflight   *telemetry.Gauge
 	restarts   *telemetry.Counter
 	drainDur   *telemetry.Gauge
-	ingestDur  *telemetry.Histogram
 	queueAge   *telemetry.Histogram
 	e2eDur     *telemetry.Histogram
 	e2eSlowest *telemetry.Gauge
@@ -144,9 +142,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"In-process stream restarts after a failed run (checkpoint + replay).", nil),
 		drainDur: reg.Gauge(MetricDrainSeconds,
 			"Wall time of the last graceful drain across all streams.", nil),
-		ingestDur: reg.Histogram(MetricIngestSeconds,
-			"Wall time of one accepted ingest request (parse + WAL append + group fsync + enqueue).",
-			nil, nil),
 		queueAge: reg.Histogram(MetricQueueAge,
 			"Age of a record at dequeue: time spent waiting in the ingest queue before the pipeline consumed it.",
 			nil, nil),
@@ -232,12 +227,6 @@ func (m *serverMetrics) addQuarantine(reason string) {
 func (m *serverMetrics) observeDrain(took time.Duration) {
 	if m != nil {
 		m.drainDur.Set(took.Seconds())
-	}
-}
-
-func (m *serverMetrics) observeIngest(took time.Duration) {
-	if m != nil {
-		m.ingestDur.Observe(took.Seconds())
 	}
 }
 

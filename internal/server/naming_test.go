@@ -15,7 +15,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 var (
@@ -33,7 +32,6 @@ func TestTelemetryNamingConventions(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub.SetMetrics(reg)
-	trace.New(trace.Options{}).SetMetrics(reg)
 	RegisterMetrics(reg)
 
 	families := reg.Snapshot()

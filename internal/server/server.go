@@ -311,7 +311,11 @@ type StreamConfig struct {
 	// are delta frames (pipeline.Config.CheckpointFullEvery). 0 takes the
 	// server-wide default; 1 makes every generation full (the v1 behavior).
 	CheckpointFullEvery int `json:"checkpoint_full_every"`
-	TraceWindows        int `json:"trace_windows"`
+	// TraceWindows, when > 0, keeps a flight-recorder ring of that many
+	// windows for the stream, served by GET /v1/streams/{id}/trace; 0 keeps
+	// none (the trace endpoint answers 404). Either way, with a server
+	// registry the stream's spans feed butterfly_trace_span_seconds.
+	TraceWindows int `json:"trace_windows"`
 	// Resume restores the stream from its newest checkpoint. The client
 	// must then replay the stream's records from the beginning — the
 	// stream drops the prefix the checkpoint covers (pipeline.FastForward)
@@ -557,8 +561,14 @@ func (s *Server) buildStream(cfg StreamConfig, scheme core.Scheme) (*stream, fun
 	s.metrics.streamQueueDepth(cfg.ID, func() float64 { return float64(len(st.queue)) })
 	s.metrics.streamCheckpointAge(cfg.ID, st.checkpointAge)
 	st.runCtx, st.stop = context.WithCancel(s.ctx)
+	// The stream's tracer times its ingest requests and — as the pipeline's
+	// Trace — its windows, feeding the registry's span histograms; only a
+	// stream created with trace_windows keeps the flight-recorder ring.
 	if cfg.TraceWindows > 0 {
 		st.tracer = trace.New(trace.Options{Windows: cfg.TraceWindows})
+		st.tracer.SetMetrics(s.opts.Registry)
+	} else if s.opts.Registry != nil {
+		st.tracer = trace.NewRingless(s.opts.Registry)
 	}
 	warnf := func(format string, args ...any) {
 		s.log.Warn(fmt.Sprintf(format, args...), "stream", cfg.ID)

@@ -379,37 +379,25 @@ func (st *stream) ingest(body io.Reader, offset int64) (accepted int, bad int, e
 		badStaged   uint64
 	)
 	// Request-scoped observability (strictly observation-only): a root span
-	// per ingest request with aggregated parse / wal.append children, plus
-	// the request-latency histogram. rw is nil when tracing is off and every
-	// timing read is gated, so the disabled path costs one pointer test.
+	// per ingest request with aggregated parse / wal.append / wal.fsync /
+	// enqueue.wait children — the request's only timer, feeding the span
+	// histograms. parse is the staging loop less its WAL appends, timed once
+	// per request so a memory-only stream reads no clock per line. rw is nil
+	// when the stream has no tracer (no registry, no ring) and every timing
+	// read is gated, so that path costs one pointer test.
 	rw := st.tracer.StartRoot(trace.KindIngest)
 	var (
-		reqStart   time.Time
 		parseStart time.Time
-		parseDur   time.Duration
 		walStart   time.Time
 		walDur     time.Duration
 	)
-	if rw != nil || st.srv.metrics != nil {
-		reqStart = time.Now()
+	if rw != nil {
+		parseStart = time.Now()
 	}
 	tr := data.NewTransactionReader(&lineGuard{r: body}, st.vocab)
 parse:
 	for {
-		var (
-			rec  itemset.Itemset
-			rerr error
-		)
-		if rw != nil {
-			t0 := time.Now()
-			if parseStart.IsZero() {
-				parseStart = t0
-			}
-			rec, rerr = tr.Next()
-			parseDur += time.Since(t0)
-		} else {
-			rec, rerr = tr.Next()
-		}
+		rec, rerr := tr.Next()
 		var item queueItem
 		switch {
 		case rerr == io.EOF:
@@ -482,8 +470,9 @@ parse:
 		return 0, 0, err
 	}
 	// Durability barrier: nothing below is acknowledged or handed to the
-	// pipeline before the group's fsyncs return.
-	syncStart := reqStart
+	// pipeline before the group's fsyncs return. The wal.fsync span covers
+	// both: the token journal's sync and the WAL group's.
+	var syncStart time.Time
 	if rw != nil {
 		syncStart = time.Now()
 	}
@@ -527,7 +516,7 @@ parse:
 	if rw != nil {
 		rw.Add(trace.KindEnqueue, enqStart, time.Since(enqStart))
 		rw.SetID(st.lines)
-		if parseDur > 0 {
+		if parseDur := syncStart.Sub(parseStart) - walDur; parseDur > 0 {
 			rw.Add(trace.KindParse, parseStart, parseDur)
 		}
 		if walDur > 0 {
@@ -538,9 +527,6 @@ parse:
 		rw.Attr(trace.AttrBadRecords, int64(bad))
 		rw.Attr(trace.AttrQueueLen, int64(len(st.queue)))
 		st.tracer.Commit(rw)
-	}
-	if st.srv.metrics != nil {
-		st.srv.metrics.observeIngest(time.Since(reqStart))
 	}
 	return accepted, bad, err
 }

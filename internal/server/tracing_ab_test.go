@@ -9,10 +9,15 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // runHosted hosts one stream, feeds it input, drains it, and returns its
@@ -103,5 +108,98 @@ func TestServerTracingABIdentity(t *testing.T) {
 	if ingestPid != windowPid {
 		t.Errorf("ingest (pid %d) and window (pid %d) roots are in different processes; "+
 			"one timeline must show both", ingestPid, windowPid)
+	}
+}
+
+// TestServerTraceSpanMetrics: with a registry attached, every hosted
+// stream's spans feed butterfly_trace_span_seconds — a stream created
+// without trace_windows through a ring-less tracer, a stream with it
+// through its flight recorder. After close and drain, the scrape counts,
+// across both durable streams, one ingest, parse, wal.append and wal.fsync
+// span per accepted POST and one window, mine, bias.opt, emit and
+// checkpoint.save span per published window.
+func TestServerTraceSpanMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv, client := newTestServer(t, Options{Registry: reg, DataDir: t.TempDir()})
+	ringless, ringed := testConfig("spans-ringless", 7), testConfig("spans-ring", 8)
+	ringed.TraceWindows = 64
+
+	posts := 0
+	deadline := time.Now().Add(60 * time.Second)
+	for _, cfg := range []StreamConfig{ringless, ringed} {
+		client.create(cfg)
+		lines := strings.SplitAfter(strings.TrimRight(genInput(t, cfg.Seed, 600), "\n")+"\n", "\n")
+		lines = lines[:len(lines)-1] // SplitAfter leaves an empty tail
+		for off := 0; off < len(lines); {
+			end := min(off+100, len(lines))
+			resp, body := client.do("POST", fmt.Sprintf("/v1/streams/%s/records?offset=%d", cfg.ID, off),
+				strings.NewReader(strings.Join(lines[off:end], "")))
+			var ir ingestResponse
+			if err := json.Unmarshal(body, &ir); err != nil {
+				t.Fatalf("ingest %s: bad response %d %q", cfg.ID, resp.StatusCode, body)
+			}
+			if ir.Accepted > 0 {
+				posts++
+			}
+			off += ir.Accepted
+			if resp.StatusCode != http.StatusOK {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("ingest %s: stuck at line %d/%d", cfg.ID, off, len(lines))
+			}
+		}
+	}
+	t.Logf("%d accepted POSTs", posts)
+	windows := 0
+	for _, cfg := range []StreamConfig{ringless, ringed} {
+		client.closeStream(cfg.ID)
+		client.waitState(cfg.ID, StateDone, 30*time.Second)
+		windows += len(client.windows(cfg.ID))
+	}
+
+	// The ring-less stream keeps no flight recorder: no ring, no exemplar
+	// store, and its trace endpoint still answers 404.
+	if c := srv.get(ringless.ID).tracer.Capacity(); c != 0 {
+		t.Errorf("stream without trace_windows has a %d-window ring", c)
+	}
+	if resp, _ := client.do("GET", "/v1/streams/"+ringless.ID+"/trace", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("trace of a stream without trace_windows: %d, want 404", resp.StatusCode)
+	}
+
+	var scrape strings.Builder
+	if err := reg.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	count := func(span string) int {
+		prefix := trace.MetricSpanSeconds + `_count{span="` + span + `"} `
+		for _, line := range strings.Split(scrape.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				n, err := strconv.Atoi(rest)
+				if err != nil {
+					t.Fatalf("unparsable scrape line %q", line)
+				}
+				return n
+			}
+		}
+		t.Fatalf("scrape has no %s series:\n%s", prefix, scrape.String())
+		return 0
+	}
+	t.Logf("%d published windows", windows)
+	if posts == 0 || windows == 0 {
+		t.Fatalf("nothing to count: %d accepted POSTs, %d windows", posts, windows)
+	}
+	for _, span := range []string{"ingest", "parse", "wal.append", "wal.fsync"} {
+		if got := count(span); got != posts {
+			t.Errorf(`span="%s" count %d, want %d (one per accepted POST)`, span, got, posts)
+		}
+	}
+	for _, span := range []string{"window", "mine", "bias.opt", "emit", "checkpoint.save"} {
+		if got := count(span); got != windows {
+			t.Errorf(`span="%s" count %d, want %d (one per published window)`, span, got, windows)
+		}
+	}
+	if !strings.Contains(scrape.String(), trace.MetricSlowestWindow+" ") {
+		t.Errorf("scrape has no %s gauge", trace.MetricSlowestWindow)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Labels is a set of constant labels attached to an instrument at
@@ -88,6 +87,17 @@ func (g *Gauge) Add(d float64) {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + d)
 		if g.bits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// SetMax raises the gauge to v when v exceeds its current value (a CAS
+// loop, lock-free): writers sharing one registered gauge keep one maximum.
+func (g *Gauge) SetMax(v float64) {
+	for {
+		old := g.bits.Load()
+		if v <= math.Float64frombits(old) || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}
@@ -161,12 +171,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveSince records the seconds elapsed since t0 — the idiom for stage
-// wall-time: `defer h.ObserveSince(time.Now())` or an explicit pair.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	h.Observe(time.Since(t0).Seconds())
 }
 
 // Count returns the number of observations.

@@ -1,15 +1,15 @@
 package trace
 
-// Telemetry bridge: span durations mirrored into the PR 4 registry so the
-// aggregate view (/metrics) and the per-window view (/debug/trace/events)
-// cross-reference — an operator who sees a fat butterfly_trace_span_seconds
-// bucket pulls the trace and finds the exact windows via the slowest-window
-// exemplars. Mirroring happens once per window at Commit, off the span hot
-// path, and is observation-only like everything else here.
+// Telemetry bridge: span durations observed into the telemetry registry.
+// The span histograms are the service's only duration timer — every tracer
+// with a registry attached feeds them, ring or no ring — and they
+// cross-reference the per-window view (/debug/trace/events): an operator
+// who sees a fat butterfly_trace_span_seconds bucket pulls the trace and
+// finds the exact windows via the slowest-window exemplars. Observation
+// happens once per window at Commit, off the span hot path, and is
+// observation-only like everything else here.
 
 import (
-	"sync/atomic"
-
 	"repro/internal/telemetry"
 )
 
@@ -19,7 +19,7 @@ const (
 	// every committed span's duration, including the root (span="window").
 	MetricSpanSeconds = "butterfly_trace_span_seconds"
 	// MetricSlowestWindow is a gauge holding the slowest root-span duration
-	// committed so far (the top slowest-window exemplar).
+	// committed so far by any tracer sharing the registry.
 	MetricSlowestWindow = "butterfly_trace_slowest_window_seconds"
 )
 
@@ -29,12 +29,12 @@ const (
 type traceMetrics struct {
 	spans   [numKinds]*telemetry.Histogram
 	slowest *telemetry.Gauge
-	maxDur  atomic.Int64 // nanos; commits may race, so CAS the max
 }
 
-// SetMetrics registers the tracer's instruments on reg and starts mirroring
-// at every Commit; a nil reg detaches. Registration is idempotent across
-// tracers sharing a registry.
+// SetMetrics registers the tracer's instruments on reg and starts
+// observing at every Commit; a nil reg detaches. Registration is
+// idempotent across tracers sharing a registry, and so is the
+// slowest-window gauge: it holds the maximum over all of them.
 func (t *Tracer) SetMetrics(reg *telemetry.Registry) {
 	if t == nil {
 		return
@@ -45,17 +45,17 @@ func (t *Tracer) SetMetrics(reg *telemetry.Registry) {
 	}
 	m := &traceMetrics{
 		slowest: reg.Gauge(MetricSlowestWindow,
-			"Slowest committed window's root-span duration (the top flight-recorder exemplar).", nil),
+			"Slowest committed window's root-span duration across the registry's tracers (the top exemplar).", nil),
 	}
 	for _, k := range Kinds() {
 		m.spans[k] = reg.Histogram(MetricSpanSeconds,
-			"Committed span durations from the per-window flight recorder, by span kind.",
+			"Committed span durations, by span kind (the one timer behind every stage, checkpoint, ingest and WAL duration).",
 			nil, telemetry.Labels{"span": k.String()})
 	}
 	t.metrics = m
 }
 
-// observe mirrors one committed window into the registry (no-op when
+// observe records one committed window into the registry (no-op when
 // SetMetrics was not called). Called from Commit only.
 func (t *Tracer) observe(d *windowData) {
 	m := t.metrics
@@ -72,19 +72,8 @@ func (t *Tracer) observe(d *windowData) {
 		}
 	}
 	// The gauge tracks the max window-root duration (ingest roots share the
-	// ring but not this gauge); commits may race, so CAS the monotone max and
-	// only the winning writer refreshes the gauge.
-	if d.kind != KindWindow {
-		return
-	}
-	for {
-		cur := m.maxDur.Load()
-		if d.dur <= cur {
-			break
-		}
-		if m.maxDur.CompareAndSwap(cur, d.dur) {
-			m.slowest.Set(float64(d.dur) / 1e9)
-			break
-		}
+	// ring but not this gauge) across every tracer on the registry.
+	if d.kind == KindWindow {
+		m.slowest.SetMax(float64(d.dur) / 1e9)
 	}
 }

@@ -10,14 +10,18 @@
 // single per-stream trace shows a record's full path from HTTP accept to
 // published window.
 //
-// The design is a flight recorder, not a streaming exporter:
+// Spans are the service's only duration timer: every committed span feeds
+// the butterfly_trace_span_seconds{span} histograms of the registry
+// attached with SetMetrics (metrics.go), and the flight recorder is an
+// optional second sink:
 //
 //   - While a window is in flight, its spans are recorded into a plain,
 //     fixed-size record owned EXCLUSIVELY by the pipeline goroutine currently
 //     processing that window. Ownership moves with the window through the
 //     stage channels, so recording a span is a handful of plain stores —
 //     lock-free, allocation-free, and race-free by construction.
-//   - When the window finishes, Commit copies the record into a fixed-size
+//   - When the window finishes, Commit observes its spans into the registry
+//     and, on a tracer built by New, copies the record into a fixed-size
 //     ring of seqlock slots (all-atomic fields, writers never block readers,
 //     readers retry torn reads), retaining the most recent Options.Windows
 //     windows. Records are recycled through a free list, so the steady-state
@@ -28,12 +32,14 @@
 //     are still there even if thousands of fast windows have since lapped
 //     the ring.
 //
-// Snapshots (for the /debug/trace/events endpoint and -trace-out files) are
-// encoded as Chrome trace-event JSON — loadable in Perfetto or
-// chrome://tracing — by chrome.go; metrics.go mirrors span durations into
-// the telemetry registry so traces and /metrics cross-reference by window
-// id. Tracing is strictly observation-only: the pipeline's A/B identity
-// tests pin published bytes identical with tracing on and off.
+// A tracer built by NewRingless keeps neither the ring nor the exemplar
+// store; it exists so a run with a registry but no flight recorder still
+// times each duration once. Snapshots (for the /debug/trace/events endpoint
+// and -trace-out files) are encoded as Chrome trace-event JSON — loadable in
+// Perfetto or chrome://tracing — by chrome.go, so traces and /metrics
+// cross-reference by window id. Tracing is strictly observation-only: the
+// pipeline's A/B identity tests pin published bytes identical with tracing
+// on and off.
 package trace
 
 import (
@@ -41,6 +47,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Kind identifies what a span measured. Kinds are a closed set so span
@@ -82,8 +90,8 @@ const (
 	// life inside a stream, from the first parsed byte to the last record
 	// enqueued (recorded by internal/server, not the pipeline).
 	KindIngest
-	// KindParse is the aggregate record-decode time of one ingest request, a
-	// child of ingest.
+	// KindParse is the record-decode and staging time of one ingest request
+	// (its staging loop less the WAL appends), a child of ingest.
 	KindParse
 	// KindWALAppend is the aggregate WAL encode+stage time of one ingest
 	// request, a child of ingest.
@@ -389,7 +397,8 @@ func (r *ringRec) load(d *windowData) bool {
 	return false
 }
 
-// Options configures a Tracer.
+// Options configures a flight-recording Tracer (New); NewRingless takes
+// none.
 type Options struct {
 	// Windows is the ring capacity — how many recent windows the flight
 	// recorder retains (default 256).
@@ -405,16 +414,18 @@ const (
 	DefaultTopK    = 8
 )
 
-// Tracer is the flight recorder. All methods are safe for concurrent use
-// and nil-receiver safe: a nil *Tracer is a disabled tracer whose
-// StartWindow returns nil, making instrumented code zero-cost when tracing
-// is off (one pointer test per call site).
+// Tracer records spans into the registry attached with SetMetrics and,
+// when built by New, into the flight recorder. All methods are safe for
+// concurrent use and nil-receiver safe: a nil *Tracer is a disabled tracer
+// whose StartWindow returns nil, making instrumented code zero-cost when
+// neither a registry nor a ring is attached (one pointer test per call
+// site).
 type Tracer struct {
 	epoch time.Time
 	now   func() time.Time // test seam; nil means time.Now
 
 	seq  atomic.Uint64 // commit sequence
-	ring []ringRec
+	ring []ringRec     // empty on a ring-less tracer
 
 	free chan *Window
 
@@ -438,15 +449,24 @@ func New(opts Options) *Tracer {
 	if topK < 0 {
 		topK = 0
 	}
+	t := NewRingless(nil)
+	t.ring = make([]ringRec, opts.Windows)
+	t.exRecs = make([]windowData, topK)
+	return t
+}
+
+// NewRingless returns a tracer without the flight recorder: its committed
+// spans only feed reg's span histograms, and it allocates no ring and no
+// exemplar store (Capacity is 0; Snapshot and Exemplars are empty).
+func NewRingless(reg *telemetry.Registry) *Tracer {
 	t := &Tracer{
 		epoch: time.Now(),
-		ring:  make([]ringRec, opts.Windows),
 		// The free list holds more records than the pipeline has windows in
 		// flight, so the steady state never allocates; a drained list (e.g.
 		// records abandoned by an aborted run) just re-allocates lazily.
-		free:   make(chan *Window, 32),
-		exRecs: make([]windowData, topK),
+		free: make(chan *Window, 32),
 	}
+	t.SetMetrics(reg)
 	return t
 }
 
@@ -495,10 +515,10 @@ func (t *Tracer) StartRoot(kind Kind) *Window {
 }
 
 // Commit finalizes w's root span, publishes the record into the ring
-// (evicting the oldest window), offers it to the slowest-window exemplar
-// store, mirrors span durations into the telemetry registry (when
-// SetMetrics was called), and recycles the record. w must not be used after
-// Commit. Nil tracer or nil w no-op.
+// (evicting the oldest window) and offers it to the slowest-window
+// exemplar store when the tracer has them, observes every span duration
+// into the telemetry registry (when SetMetrics was called), and recycles
+// the record. w must not be used after Commit. Nil tracer or nil w no-op.
 func (t *Tracer) Commit(w *Window) {
 	if t == nil || w == nil {
 		return
@@ -508,19 +528,21 @@ func (t *Tracer) Commit(w *Window) {
 		w.dur = 1 // keep committed records distinguishable from empty slots
 	}
 	w.commit = t.seq.Add(1)
-	slot := &t.ring[int((w.commit-1)%uint64(len(t.ring)))]
-	// Claim the slot's seqlock. Concurrent commits land on distinct slots
-	// (the commit sequence spreads them); contention here needs two commits
-	// a full ring apart racing — possible with tiny test rings, so spin.
-	for {
-		s := slot.seq.Load()
-		if s%2 == 0 && slot.seq.CompareAndSwap(s, s+1) {
-			break
+	if len(t.ring) > 0 {
+		slot := &t.ring[int((w.commit-1)%uint64(len(t.ring)))]
+		// Claim the slot's seqlock. Concurrent commits land on distinct slots
+		// (the commit sequence spreads them); contention here needs two
+		// commits a full ring apart racing — possible with tiny test rings,
+		// so spin.
+		for {
+			s := slot.seq.Load()
+			if s%2 == 0 && slot.seq.CompareAndSwap(s, s+1) {
+				break
+			}
 		}
+		slot.store(&w.windowData)
+		slot.seq.Add(1)
 	}
-	slot.store(&w.windowData)
-	slot.seq.Add(1)
-
 	if w.kind == KindWindow {
 		t.admitExemplar(&w.windowData)
 	}

@@ -177,26 +177,33 @@ func TestTracerExemplarsSurviveEviction(t *testing.T) {
 }
 
 // TestTracerZeroAllocHotPath is the acceptance criterion: after warm-up,
-// recording and committing a full window allocates nothing.
+// recording and committing a full window allocates nothing — with the
+// flight-recorder ring, and on the ring-less tracer a registry alone
+// implies.
 func TestTracerZeroAllocHotPath(t *testing.T) {
-	tr := New(Options{Windows: 16})
-	reg := telemetry.NewRegistry()
-	tr.SetMetrics(reg)
-	record := func() {
-		w := tr.StartWindow()
-		w.SetID(42)
-		w.Attr(AttrRecords, 1000)
-		sp := w.Add(KindMine, time.Now(), time.Millisecond)
-		sp.Attr(AttrWindow, 42)
-		w.Add(KindPerturb, time.Now(), time.Millisecond)
-		w.Add(KindEmit, time.Now(), time.Millisecond).Attr(AttrRetries, 0)
-		tr.Commit(w)
+	ringed := New(Options{Windows: 16})
+	ringed.SetMetrics(telemetry.NewRegistry())
+	ringless := NewRingless(telemetry.NewRegistry())
+	for name, tr := range map[string]*Tracer{"ring": ringed, "ringless": ringless} {
+		record := func() {
+			w := tr.StartWindow()
+			w.SetID(42)
+			w.Attr(AttrRecords, 1000)
+			sp := w.Add(KindMine, time.Now(), time.Millisecond)
+			sp.Attr(AttrWindow, 42)
+			w.Add(KindPerturb, time.Now(), time.Millisecond)
+			w.Add(KindEmit, time.Now(), time.Millisecond).Attr(AttrRetries, 0)
+			tr.Commit(w)
+		}
+		for i := 0; i < 64; i++ {
+			record() // warm the free list and the exemplar store
+		}
+		if allocs := testing.AllocsPerRun(100, record); allocs != 0 {
+			t.Errorf("%s: span hot path allocates %v objects per window after warm-up, want 0", name, allocs)
+		}
 	}
-	for i := 0; i < 64; i++ {
-		record() // warm the free list and the exemplar store
-	}
-	if allocs := testing.AllocsPerRun(100, record); allocs != 0 {
-		t.Errorf("span hot path allocates %v objects per window after warm-up, want 0", allocs)
+	if n := len(ringless.Snapshot()); ringless.Capacity() != 0 || n != 0 {
+		t.Errorf("ring-less tracer retained %d windows (capacity %d), want none", n, ringless.Capacity())
 	}
 }
 
@@ -250,8 +257,24 @@ func TestTracerNilSafety(t *testing.T) {
 }
 
 // TestTracerMetricsMirror checks the commit-time telemetry bridge: span
-// histograms fill by kind and the slowest-window gauge tracks the max.
+// histograms fill by kind and the slowest-window gauge tracks the max —
+// one max across every tracer sharing the registry.
 func TestTracerMetricsMirror(t *testing.T) {
+	scrape := func(reg *telemetry.Registry) (slowest float64, hist map[string]uint64) {
+		hist = map[string]uint64{}
+		for _, f := range reg.Snapshot() {
+			for _, s := range f.Series {
+				switch f.Name {
+				case MetricSlowestWindow:
+					slowest = s.Value
+				case MetricSpanSeconds:
+					hist[s.Labels] += s.Count
+				}
+			}
+		}
+		return slowest, hist
+	}
+
 	tr, clock := newTestTracer(Options{Windows: 8}, time.Millisecond)
 	reg := telemetry.NewRegistry()
 	tr.SetMetrics(reg)
@@ -259,18 +282,7 @@ func TestTracerMetricsMirror(t *testing.T) {
 	clock.step = 100 * time.Millisecond
 	commitWindow(tr, 2)
 
-	var slowest float64
-	hist := map[string]uint64{}
-	for _, f := range reg.Snapshot() {
-		for _, s := range f.Series {
-			switch f.Name {
-			case MetricSlowestWindow:
-				slowest = s.Value
-			case MetricSpanSeconds:
-				hist[s.Labels] += s.Count
-			}
-		}
-	}
+	slowest, hist := scrape(reg)
 	if slowest < 0.1 {
 		t.Errorf("slowest-window gauge %v, want >= 0.1s (the slow window)", slowest)
 	}
@@ -278,5 +290,19 @@ func TestTracerMetricsMirror(t *testing.T) {
 		if hist[label] != 2 {
 			t.Errorf("span histogram %s observed %d, want 2", label, hist[label])
 		}
+	}
+
+	// Two tracers on one registry (two hosted streams): a 0.3s window on A,
+	// then a 0.015s window on B, must leave the gauge at A's 0.3s.
+	shared := telemetry.NewRegistry()
+	a, _ := newTestTracer(Options{Windows: 8}, 100*time.Millisecond)
+	b, _ := newTestTracer(Options{Windows: 8}, 5*time.Millisecond)
+	a.SetMetrics(shared)
+	b.SetMetrics(shared)
+	commitWindow(a, 1)
+	commitWindow(b, 1)
+	if slowest, hist := scrape(shared); slowest < 0.3 || hist[`{span="window"}`] != 2 {
+		t.Errorf("two tracers on one registry: slowest-window gauge %v, window spans %d; want >= 0.3s and 2",
+			slowest, hist[`{span="window"}`])
 	}
 }

@@ -46,7 +46,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/data"
 	"repro/internal/itemset"
@@ -191,8 +190,6 @@ type Log struct {
 }
 
 type metricsSet struct {
-	appendDur  *telemetry.Histogram
-	fsyncDur   *telemetry.Histogram
 	segments   *telemetry.Gauge
 	recoveries func(outcome string) *telemetry.Counter
 	replayed   *telemetry.Counter
@@ -200,8 +197,6 @@ type metricsSet struct {
 
 // WAL metric names (see OBSERVABILITY.md).
 const (
-	MetricAppendSeconds   = "butterfly_server_wal_append_seconds"
-	MetricFsyncSeconds    = "butterfly_server_wal_fsync_seconds"
 	MetricSegments        = "butterfly_server_wal_segments"
 	MetricRecoveries      = "butterfly_server_wal_recoveries_total"
 	MetricReplayedRecords = "butterfly_server_wal_replayed_records_total"
@@ -220,12 +215,6 @@ func newMetricsSet(reg *telemetry.Registry, stream string) *metricsSet {
 		return nil
 	}
 	return &metricsSet{
-		appendDur: reg.Histogram(MetricAppendSeconds,
-			"Time encoding and buffering one accepted record into the ingest WAL.",
-			telemetry.DefBuckets, nil),
-		fsyncDur: reg.Histogram(MetricFsyncSeconds,
-			"Time of one WAL group sync (write + fsync of a request's frames).",
-			telemetry.DefBuckets, nil),
 		segments: reg.Gauge(MetricSegments,
 			"WAL segment files currently on disk, per stream.",
 			telemetry.Labels{"stream": stream}),
@@ -653,7 +642,6 @@ func decodePayload(payload []byte, full bool) (Record, error) {
 // durable at the next Sync, and the caller must not acknowledge the line
 // before that Sync returns. Lines must be appended in order.
 func (l *Log) Append(r Record) error {
-	t0 := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
@@ -678,9 +666,6 @@ func (l *Log) Append(r Record) error {
 	l.last = r.Line
 	if r.Bad == nil {
 		l.lastSeq = r.Seq
-	}
-	if l.m != nil {
-		l.m.appendDur.ObserveSince(t0)
 	}
 	return nil
 }
@@ -726,15 +711,11 @@ func (l *Log) syncLocked() error {
 		l.active.Sync()
 		return fmt.Errorf("%w: at %s", ErrInjectedCrash, CrashTornSync)
 	}
-	t0 := time.Now()
 	if _, err := l.active.Write(l.buf); err != nil {
 		return fmt.Errorf("wal: writing segment: %w", err)
 	}
 	if err := l.active.Sync(); err != nil {
 		return fmt.Errorf("wal: syncing segment: %w", err)
-	}
-	if l.m != nil {
-		l.m.fsyncDur.ObserveSince(t0)
 	}
 	l.activeSize += int64(len(l.buf))
 	l.buf = l.buf[:0]
