@@ -111,25 +111,12 @@ func benchWindow(b *testing.B) (*itemset.Database, *mining.Result) {
 	return db, res
 }
 
-// BenchmarkEclatSerial measures single-threaded Eclat over one window — the
-// "before" of the sharded parallel miner.
+// BenchmarkEclatSerial measures single-threaded Eclat over one window.
 func BenchmarkEclatSerial(b *testing.B) {
 	db, _ := benchWindow(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mining.Eclat(db, 25); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEclatParallel8 measures Eclat with the prefix-class recursion
-// sharded across 8 workers.
-func BenchmarkEclatParallel8(b *testing.B) {
-	db, _ := benchWindow(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mining.EclatParallel(db, 25, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,9 +143,9 @@ func benchPublish(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkPublishSequential measures the historical one-stream perturbation
-// path — the "before" of the chunked parallel publisher.
-func BenchmarkPublishSequential(b *testing.B) { benchPublish(b, 1) }
+// BenchmarkPublishWorkers1 measures the chunked perturbation worked by
+// Publish's own goroutine alone, the default and the paper's setting.
+func BenchmarkPublishWorkers1(b *testing.B) { benchPublish(b, 1) }
 
 // BenchmarkPublishChunked8 measures the chunked-RNG perturbation path with
 // an 8-worker pool.
@@ -192,12 +179,12 @@ func benchEndToEnd(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkEndToEndSerial measures the full mine→perturb→emit loop on the
-// Workers=1 reference path.
+// BenchmarkEndToEndSerial measures the full mine→perturb→emit loop with one
+// perturbation worker.
 func BenchmarkEndToEndSerial(b *testing.B) { benchEndToEnd(b, 1) }
 
-// BenchmarkEndToEndWorkers8 measures the staged pipeline with 8 workers
-// (overlapped stages + chunked perturbation).
+// BenchmarkEndToEndWorkers8 measures the same loop with 8 perturbation
+// workers.
 func BenchmarkEndToEndWorkers8(b *testing.B) { benchEndToEnd(b, 8) }
 
 // BenchmarkPipelinePublish measures one sanitized release of a full window

@@ -87,9 +87,8 @@ func TestRunRawAndDump(t *testing.T) {
 }
 
 // TestRunWorkersDeterminism pins the CLI half of the chunked-RNG contract:
-// every -workers count >= 2 must print byte-identical output for a fixed
-// seed, and -workers 1 (the serial reference path) must itself be
-// reproducible run over run.
+// every -workers count must print byte-identical output for a fixed seed,
+// so the default (the host's CPU count) never changes what is published.
 func TestRunWorkersDeterminism(t *testing.T) {
 	runWith := func(workers string) string {
 		var out bytes.Buffer
@@ -107,13 +106,10 @@ func TestRunWorkersDeterminism(t *testing.T) {
 	if !strings.Contains(ref, "window(s) published") {
 		t.Fatalf("unexpected output:\n%s", ref)
 	}
-	for _, workers := range []string{"3", "8"} {
+	for _, workers := range []string{"1", "3", "8"} {
 		if got := runWith(workers); got != ref {
 			t.Errorf("-workers %s output differs from -workers 2:\n%s\nvs\n%s", workers, got, ref)
 		}
-	}
-	if first, second := runWith("1"), runWith("1"); first != second {
-		t.Error("-workers 1 not reproducible across runs")
 	}
 }
 

@@ -87,12 +87,18 @@ func TestRunTraceLiveEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Poll the trace endpoint until a committed window shows up.
+	// Poll the trace endpoint until a committed window shows up. The
+	// process and ingest-track metadata events are always there, so count
+	// window roots, not events.
 	deadline := time.Now().Add(10 * time.Second)
 	var doc chromeTraceDoc
 	for {
 		doc = decodeTrace(t, scrape(t, addr, "/debug/trace/events"))
-		if len(doc.TraceEvents) > 1 {
+		committed := false
+		for _, ev := range doc.TraceEvents {
+			committed = committed || ev.Cat == "window"
+		}
+		if committed {
 			break
 		}
 		if time.Now().After(deadline) {

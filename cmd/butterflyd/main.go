@@ -118,7 +118,6 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		addr            = fs.String("addr", ":8080", "HOST:PORT the service listens on")
 		dataDir         = fs.String("data-dir", "", "durable state root: stream manifest, per-stream checkpoints + ingest WAL under DIR/streams/<stream-id>/ (empty: memory only)")
-		checkpointRoot  = fs.String("checkpoint-root", "", "deprecated alias for -data-dir")
 		maxStreams      = fs.Int("max-streams", 1024, "admission cap on concurrently hosted streams")
 		maxInflight     = fs.Int64("max-inflight-bytes", 256<<20, "server-wide cap on queued ingest bytes (503 beyond it)")
 		queueDepth      = fs.Int("queue-depth", 1024, "default per-stream ingest queue depth in records (429 when full)")
@@ -132,11 +131,6 @@ func run(args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *dataDir == "" {
-		*dataDir = *checkpointRoot
-	} else if *checkpointRoot != "" && *checkpointRoot != *dataDir {
-		return fmt.Errorf("-checkpoint-root is a deprecated alias for -data-dir; set only one")
 	}
 	if err := validateFlags(flagValues{
 		addr: *addr, maxStreams: *maxStreams, maxInflightBytes: *maxInflight,

@@ -99,9 +99,10 @@ type Meta struct {
 	Scheme     string
 	ClosedOnly bool
 	Raw        bool
-	// Chunked records the publisher draw-order tier (workers >= 2); the
-	// two tiers draw different random offsets, so a snapshot from one
-	// cannot resume the other.
+	// Chunked marks a snapshot drawn in the chunked perturbation order,
+	// the only order there is: every snapshot this build writes sets it.
+	// False marks an older build's workers=1 snapshot, drawn in a retired
+	// sequential order, which resume refuses (pipeline.ErrRetiredDrawOrder).
 	Chunked      bool
 	PublishEvery int
 }

@@ -1,14 +1,14 @@
 package core
 
-// Regression tests for the chunked-RNG parallel publication path. The
-// determinism contract under test (see Publisher.SetWorkers):
-//
-//   - workers <= 1 is the frozen historical sequential draw order;
-//   - every worker count >= 2 publishes byte-identical output for a fixed
-//     seed, because chunk boundaries and per-chunk seeds are functions of
-//     the data alone, never of the pool size.
+// Regression tests for the chunked-RNG publication path. The determinism
+// contract under test (see Publisher.SetWorkers): every worker count
+// publishes byte-identical output for a fixed seed, because chunk
+// boundaries and per-chunk seeds are functions of the data alone, never of
+// the pool size.
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -80,14 +80,14 @@ func sameOutputs(t *testing.T, label string, a, b []*Output) {
 }
 
 // TestChunkedPublishWorkerCountInvariance publishes the same multi-window
-// stream with pools of 2, 3, 5 and 8 workers and requires identical output
-// from all of them, for both a shared-draw scheme and the per-itemset Basic
+// stream with 1, 2, 3, 5 and 8 workers and requires identical output from
+// all of them, for both a shared-draw scheme and the per-itemset Basic
 // scheme.
 func TestChunkedPublishWorkerCountInvariance(t *testing.T) {
 	results := minedWindows(t)
 	for _, scheme := range []Scheme{Basic{}, Hybrid{Lambda: 0.4}} {
 		ref := publishAll(t, 2, scheme, results)
-		for _, workers := range []int{3, 5, 8} {
+		for _, workers := range []int{1, 3, 5, 8} {
 			got := publishAll(t, workers, scheme, results)
 			sameOutputs(t, scheme.Name(), ref, got)
 		}
@@ -95,7 +95,8 @@ func TestChunkedPublishWorkerCountInvariance(t *testing.T) {
 }
 
 // TestSequentialPathUnchangedBySetWorkers pins that SetWorkers(1) and the
-// default (never calling SetWorkers) are the same frozen draw order.
+// default (never calling SetWorkers) run the same path — Publish's own
+// goroutine works every chunk — and publish the same bytes.
 func TestSequentialPathUnchangedBySetWorkers(t *testing.T) {
 	results := minedWindows(t)
 	sameOutputs(t, "workers=1 vs default",
@@ -104,7 +105,7 @@ func TestSequentialPathUnchangedBySetWorkers(t *testing.T) {
 }
 
 // TestChunkedPublishStaysInPerturbationRegion checks the (ε, δ) calibration
-// is honoured by the parallel path: under the Basic scheme (bias 0) every
+// is honoured by the chunked path: under the Basic scheme (bias 0) every
 // sanitized support stays within α/2 of the true support.
 func TestChunkedPublishStaysInPerturbationRegion(t *testing.T) {
 	results := minedWindows(t)
@@ -125,7 +126,7 @@ func TestChunkedPublishStaysInPerturbationRegion(t *testing.T) {
 }
 
 // TestChunkedPublishRepublishesConsistently pins that the republication
-// cache works identically under the parallel path: republishing a window
+// cache works under the chunked path: republishing a window
 // whose supports did not change returns the same sanitized values.
 func TestChunkedPublishRepublishesConsistently(t *testing.T) {
 	results := minedWindows(t)
@@ -153,8 +154,7 @@ func TestChunkedPublishRepublishesConsistently(t *testing.T) {
 // same sanitized value when perturbed by the chunked path (the chunk split
 // is by class, so a class never straddles two RNG streams). The
 // republication cache is disabled because a cache hit from an earlier
-// window legitimately differs from the current window's class draw — in the
-// sequential path just the same.
+// window legitimately differs from the current window's class draw.
 func TestChunkedSharedDrawsKeepClassesEqual(t *testing.T) {
 	results := minedWindows(t)
 	p := Params{Epsilon: 0.1, Delta: 0.4, MinSupport: 12, VulnSupport: 5}
@@ -181,4 +181,95 @@ func TestChunkedSharedDrawsKeepClassesEqual(t *testing.T) {
 			byTrue[trueSup] = item.Support
 		}
 	}
+}
+
+// TestPerturbationOffsetsUniform checks the (ε, δ) calibration itself at
+// workers 1 and 8: with the republication cache off, every offset
+// s̃ − t − β must be a uniform draw on [−α/2, α/2] (§V). Shared-draw schemes
+// contribute one offset per FEC, Basic one per itemset. Pearson's
+// chi-square test, one cell per offset value, rejects at p < 1e-4, per
+// chunk slot (a class's position in its chunk, so a chunk-boundary artifact
+// shows) and pooled. The seed is fixed.
+func TestPerturbationOffsetsUniform(t *testing.T) {
+	results := minedWindows(t)
+	p := Params{Epsilon: 0.1, Delta: 0.4, MinSupport: 12, VulnSupport: 5}
+	half := p.Alpha() / 2
+	for _, scheme := range []Scheme{Basic{}, Hybrid{Lambda: 0.4}} {
+		for _, workers := range []int{1, 8} {
+			pub, err := NewPublisher(p, scheme, rng.New(2008))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pub.SetWorkers(workers)
+			// DELIBERATELY INSECURE test mode: every window redraws.
+			pub.SetRepublicationCache(false)
+			var perSlot [publishChunkClasses][]int
+			for slot := range perSlot {
+				perSlot[slot] = make([]int, 2*half+1)
+			}
+			for round := 0; round < 50; round++ {
+				for _, res := range results {
+					out, err := pub.Publish(res, 600)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for ci, class := range pub.classScratch {
+						members := class.Members
+						if scheme.SharedDraws() {
+							members = members[:1]
+						}
+						for _, m := range members {
+							s, _ := out.Support(m)
+							off := s - class.Support - pub.lastBiases[ci]
+							if off < -half || off > half {
+								t.Fatalf("%s workers=%d: offset %d outside ±%d", scheme.Name(), workers, off, half)
+							}
+							perSlot[ci%publishChunkClasses][off+half]++
+						}
+					}
+				}
+			}
+			pooled := make([]int, 2*half+1)
+			check := func(label string, counts []int) {
+				stat, pval := chiSquareUniform(counts)
+				t.Logf("%s workers=%d %s: χ²(%d) = %.2f, p = %.3g, counts %v",
+					scheme.Name(), workers, label, len(counts)-1, stat, pval, counts)
+				if pval < 1e-4 {
+					t.Errorf("%s workers=%d %s: offsets are not uniform on ±%d (χ² = %.2f, p = %.3g)",
+						scheme.Name(), workers, label, half, stat, pval)
+				}
+			}
+			for slot, counts := range perSlot {
+				check(fmt.Sprintf("chunk slot %d", slot), counts)
+				for i, n := range counts {
+					pooled[i] += n
+				}
+			}
+			check("pooled", pooled)
+		}
+	}
+}
+
+// chiSquareUniform returns Pearson's statistic for counts against the
+// uniform distribution over its cells, and its p-value. The cell count must
+// be odd: the χ² degrees of freedom 2m are then even, where the survival
+// function has the closed form e^{−x/2} Σ_{j<m} (x/2)^j / j!.
+func chiSquareUniform(counts []int) (stat, pval float64) {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	want := float64(n) / float64(len(counts))
+	for _, c := range counts {
+		d := float64(c) - want
+		stat += d * d / want
+	}
+	term := math.Exp(-stat / 2)
+	for j := 0; j < (len(counts)-1)/2; j++ {
+		if j > 0 {
+			term *= stat / 2 / float64(j)
+		}
+		pval += term
+	}
+	return stat, pval
 }

@@ -105,10 +105,9 @@ type Publisher struct {
 	classScratch  []fec.Class       // FEC partition of the current window
 	memberScratch []itemset.Itemset // flat backing array for classScratch members
 	ladderScratch []ladderRung      // current window's ladder, compared to lastLadder
-	drawScratch   []int             // batched shared-draw offsets, one per class
 	keyBuf        []byte            // AppendKey scratch for cache lookups
-	perChunk      [][]chunkItem     // parallel path: per-chunk item buffers
 	pairScratch   []metrics.Pair    // posture telemetry: the window's pair-rate prefix
+	run           chunkRun          // the current window's chunked perturbation
 
 	// Incremental bias reuse (the paper's §VII "incremental version"
 	// future work): when consecutive windows produce the same FEC ladder —
@@ -128,13 +127,13 @@ type Publisher struct {
 	dirtyCache  []*cacheEntry
 	evictedKeys []string
 
-	// workers selects the perturbation path: <= 1 runs the historical
-	// sequential draw order, >= 2 the chunked parallel order (see SetWorkers).
+	// workers is how many goroutines perturb a window's chunks, the
+	// calling one included (see SetWorkers).
 	workers int
 
-	// chunkHook, when non-nil, runs at the start of every parallel
-	// perturbation chunk. Test-only: fault-injection tests use it to drive
-	// the worker panic-recovery path.
+	// chunkHook, when non-nil, runs at the start of every perturbation
+	// chunk. Test-only: fault-injection tests use it to drive the worker
+	// panic-recovery path.
 	chunkHook func(chunk int)
 
 	optDur     time.Duration
@@ -151,10 +150,10 @@ type Publisher struct {
 	rollNext int
 }
 
-// publishChunkClasses is the number of FECs per perturbation chunk in the
-// parallel publish path. It is a fixed constant — NOT derived from the worker
-// count — so that chunk boundaries, and therefore every chunk's RNG stream,
-// are identical no matter how many workers execute them.
+// publishChunkClasses is the number of FECs per perturbation chunk. It is a
+// fixed constant — NOT derived from the worker count — so that chunk
+// boundaries, and therefore every chunk's RNG stream, are identical no
+// matter how many workers execute them.
 const publishChunkClasses = 4
 
 type ladderRung struct {
@@ -233,22 +232,14 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 	half := alpha / 2
 
 	pub.window++
-	out := &Output{
-		WindowSize: windowSize,
-		Items:      make([]PublishedItemset, 0, fec.TotalMembers(classes)),
-	}
-	var hits, misses int
-	if pub.workers > 1 {
-		savedSrc := *pub.src
-		hits, misses, err = pub.perturbChunked(out, classes, biases, half)
-		if err != nil {
-			// Roll back so a retry redraws the identical perturbation.
-			*pub.src = savedSrc
-			pub.window--
-			return nil, err
-		}
-	} else {
-		hits, misses = pub.perturbSequential(out, classes, biases, half)
+	out := &Output{WindowSize: windowSize}
+	savedSrc := *pub.src
+	hits, misses, err := pub.perturb(out, classes, biases, half)
+	if err != nil {
+		// Roll back so a retry redraws the identical perturbation.
+		*pub.src = savedSrc
+		pub.window--
+		return nil, err
 	}
 	// The window's §V-C posture (telemetry.go) reads the items while they
 	// still line up with the classes' members; a no-op without a registry.
@@ -274,56 +265,100 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 	return out, nil
 }
 
-// perturbSequential is the historical perturbation loop: one RNG stream,
-// consumed class by class in support order. Its draw order — and therefore
-// its output for a fixed seed — is frozen; the byte-compatibility of
-// workers=1 publication with pre-parallel releases depends on it. The
-// returned hit/miss tally feeds the cache-traffic telemetry.
+// chunkRun is the shared state of one window's perturbation. It lives on
+// the Publisher so that Publish's own goroutine works chunks without
+// allocating; helpers read it only between their spawn and wg.Wait.
+type chunkRun struct {
+	classes    []fec.Class
+	biases     []int
+	half       int
+	shared     bool
+	windowSeed uint64
+	// items is the window's output, one item per class member in class
+	// order; chunk c fills items[firstItem[c]:firstItem[c+1]], so distinct
+	// workers write distinct elements.
+	items     []PublishedItemset
+	firstItem []int
+	// probed[i] is the cache entry items[i]'s probe found, nil for an
+	// itemset not yet cached. The map and its entries are read-only until
+	// every chunk is done, and an itemset appears once per window, so the
+	// fan-in updates hits in place and builds a key string only for an
+	// itemset it inserts.
+	probed []*cacheEntry
+
+	// next is the chunk counter workers claim from: if a worker dies to a
+	// recovered panic, the survivors drain the remainder.
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	panicErr error // the first recovered worker panic, under mu
+}
+
+// perturb draws the window's perturbation into out.Items. The FEC ladder is
+// cut into fixed-size chunks of publishChunkClasses classes; chunk c draws
+// from its own rng.Source seeded with Mix(windowSeed, c), where windowSeed
+// is one draw from the publisher's stream. Chunk boundaries and seeds
+// depend only on the data and the publisher's seed, never on the worker
+// count, so every pool size publishes identical output.
 //
-// Shared-draw schemes consume exactly one draw per class, in class order, so
-// those draws are batched through rng.FillIntRange — same values, same
-// cursor, one call. The basic scheme's per-itemset draws interleave with the
-// per-class ones and stay inline.
-func (pub *Publisher) perturbSequential(out *Output, classes []fec.Class, biases []int, half int) (hits, misses int) {
-	sharedDraws := pub.scheme.SharedDraws()
-	var draws []int
-	if sharedDraws {
-		if cap(pub.drawScratch) < len(classes) {
-			pub.drawScratch = make([]int, len(classes))
-		}
-		draws = pub.drawScratch[:len(classes)]
-		pub.src.FillIntRange(-half, half, draws)
-	}
-	keyBuf := pub.keyBuf
+// The calling goroutine works chunks alongside workers−1 helpers, so a
+// single worker starts no goroutine. The republication cache is read-only
+// while chunks are drawn; only the single-goroutine fan-in writes it. It
+// returns an error — without writing any cache entry — if a worker
+// panicked, so Publish can roll the publisher state back and stay
+// retry-safe. The hit/miss tally is taken during the fan-in, where each
+// entry still holds its pre-window content, so it equals the decisions the
+// workers made against that same read-only view.
+func (pub *Publisher) perturb(out *Output, classes []fec.Class, biases []int, half int) (hits, misses int, err error) {
+	windowSeed := pub.src.Uint64()
+	r := &pub.run
+	r.firstItem = r.firstItem[:0]
+	n := 0
 	for ci, class := range classes {
-		// One shared draw per FEC keeps intra-class equality (optimized
-		// schemes); the basic scheme redraws per itemset.
-		var sharedOffset int
-		if sharedDraws {
-			sharedOffset = biases[ci] + draws[ci]
-		} else {
-			sharedOffset = biases[ci] + pub.src.IntRange(-half, half)
+		if ci%publishChunkClasses == 0 {
+			r.firstItem = append(r.firstItem, n)
 		}
+		n += len(class.Members)
+	}
+	nChunks := len(r.firstItem)
+	r.firstItem = append(r.firstItem, n)
+	out.Items = make([]PublishedItemset, n)
+	r.items = out.Items
+	r.probed = slices.Grow(r.probed[:0], n)[:n]
+	r.classes, r.biases, r.half = classes, biases, half
+	r.shared = pub.scheme.SharedDraws()
+	r.windowSeed = windowSeed
+	r.next.Store(0)
+	r.panicErr = nil
+
+	for w := 1; w < min(pub.workers, nChunks); w++ {
+		r.wg.Add(1)
+		go pub.helpChunks()
+	}
+	pub.drawChunks(&pub.keyBuf)
+	r.wg.Wait()
+	r.items = nil
+	if r.panicErr != nil {
+		return 0, 0, r.panicErr
+	}
+
+	keyBuf := pub.keyBuf
+	i := 0
+	for _, class := range classes {
 		for _, member := range class.Members {
-			keyBuf = member.AppendKey(keyBuf[:0])
-			e := pub.cache[string(keyBuf)] // alloc-free lookup
-			var sanitized int
+			e, sanitized := r.probed[i], out.Items[i].Support
+			i++
 			if e != nil && !pub.cacheDisabled && e.trueSupport == class.Support {
-				sanitized = e.sanitized
 				hits++
-			} else if sharedDraws {
-				sanitized = class.Support + sharedOffset
-				misses++
 			} else {
-				sanitized = class.Support + biases[ci] + pub.src.IntRange(-half, half)
 				misses++
 			}
 			if e != nil {
 				e.trueSupport = class.Support
 				e.sanitized = sanitized
 				e.lastSeen = pub.window
-				pub.markDirty(e)
 			} else {
+				keyBuf = member.AppendKey(keyBuf[:0])
 				k := string(keyBuf)
 				e = &cacheEntry{
 					key:         k,
@@ -332,191 +367,93 @@ func (pub *Publisher) perturbSequential(out *Output, classes []fec.Class, biases
 					lastSeen:    pub.window,
 				}
 				pub.cache[k] = e
-				pub.markDirty(e)
 			}
-			out.Items = append(out.Items, PublishedItemset{Set: member, Support: sanitized})
-		}
-	}
-	pub.keyBuf = keyBuf
-	return hits, misses
-}
-
-// chunkItem is one perturbed itemset produced by a parallel chunk, carrying
-// the cache update to apply after the fan-in. It deliberately carries no key
-// string: workers probe the cache through a reusable byte buffer, and the
-// single-goroutine fan-in recomputes keys the same way, so a window's worth
-// of key strings is never materialized.
-type chunkItem struct {
-	set         itemset.Itemset
-	trueSupport int
-	sanitized   int
-}
-
-// perturbChunked is the parallel perturbation path. The FEC ladder is cut
-// into fixed-size chunks of publishChunkClasses classes; chunk c draws from
-// its own rng.Source seeded with Mix(windowSeed, c), where windowSeed is one
-// draw from the publisher's stream. Chunk boundaries and seeds depend only on
-// the data and the publisher's seed, never on the worker count, so any pool
-// size >= 2 publishes identical output. The republication cache is read-only
-// during the fan-out (the publisher goroutine is the only writer, and it
-// writes only after wg.Wait), which keeps the path race-free.
-// It returns an error — without writing any cache entry — if a worker
-// panicked, so Publish can roll the publisher state back and stay
-// retry-safe. The hit/miss tally is taken during the single-goroutine
-// fan-in, where the cache still holds its pre-window content, so it equals
-// the decisions the workers made against that same read-only view.
-func (pub *Publisher) perturbChunked(out *Output, classes []fec.Class, biases []int, half int) (hits, misses int, err error) {
-	windowSeed := pub.src.Uint64()
-	nChunks := (len(classes) + publishChunkClasses - 1) / publishChunkClasses
-	if nChunks == 0 {
-		return 0, 0, nil
-	}
-	workers := pub.workers
-	if workers > nChunks {
-		workers = nChunks
-	}
-	sharedDraws := pub.scheme.SharedDraws()
-
-	// Per-chunk buffers are publisher scratch: the slice-of-slices and each
-	// chunk's backing array are reused window after window. Distinct workers
-	// write distinct elements, so no synchronization beyond wg is needed.
-	if cap(pub.perChunk) < nChunks {
-		fresh := make([][]chunkItem, nChunks)
-		copy(fresh, pub.perChunk)
-		pub.perChunk = fresh
-	}
-	perChunk := pub.perChunk[:nChunks]
-
-	// Chunks are claimed off a shared counter: if a worker dies to a
-	// recovered panic, the survivors drain the remainder.
-	var next atomic.Int64
-	var panicOnce sync.Once
-	var panicErr error
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panicOnce.Do(func() {
-						panicErr = fmt.Errorf("core: perturbation worker panicked: %v", v)
-					})
-				}
-			}()
-			var keyBuf []byte
-			var chunkDraws [publishChunkClasses]int
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				if pub.chunkHook != nil {
-					pub.chunkHook(c)
-				}
-				src := rng.New(rng.Mix(windowSeed, uint64(c)))
-				start := c * publishChunkClasses
-				end := start + publishChunkClasses
-				if end > len(classes) {
-					end = len(classes)
-				}
-				// Shared-draw schemes consume one draw per class from the
-				// chunk's source, in order — batch them (see
-				// perturbSequential); the basic scheme stays inline.
-				var draws []int
-				if sharedDraws {
-					draws = chunkDraws[:end-start]
-					src.FillIntRange(-half, half, draws)
-				}
-				local := perChunk[c][:0]
-				for ci := start; ci < end; ci++ {
-					class := classes[ci]
-					var sharedOffset int
-					if sharedDraws {
-						sharedOffset = biases[ci] + draws[ci-start]
-					} else {
-						sharedOffset = biases[ci] + src.IntRange(-half, half)
-					}
-					for _, member := range class.Members {
-						keyBuf = member.AppendKey(keyBuf[:0])
-						// Read-only probe: the publisher goroutine writes the
-						// cache only after wg.Wait.
-						e := pub.cache[string(keyBuf)]
-						var sanitized int
-						if e != nil && !pub.cacheDisabled && e.trueSupport == class.Support {
-							sanitized = e.sanitized
-						} else if sharedDraws {
-							sanitized = class.Support + sharedOffset
-						} else {
-							sanitized = class.Support + biases[ci] + src.IntRange(-half, half)
-						}
-						local = append(local, chunkItem{
-							set:         member,
-							trueSupport: class.Support,
-							sanitized:   sanitized,
-						})
-					}
-				}
-				perChunk[c] = local
-			}
-		}()
-	}
-	wg.Wait()
-	if panicErr != nil {
-		return 0, 0, panicErr
-	}
-
-	keyBuf := pub.keyBuf
-	for _, local := range perChunk {
-		for _, it := range local {
-			keyBuf = it.set.AppendKey(keyBuf[:0])
-			e := pub.cache[string(keyBuf)]
-			if e != nil && !pub.cacheDisabled && e.trueSupport == it.trueSupport {
-				hits++
-			} else {
-				misses++
-			}
-			if e != nil {
-				e.trueSupport = it.trueSupport
-				e.sanitized = it.sanitized
-				e.lastSeen = pub.window
-				pub.markDirty(e)
-			} else {
-				k := string(keyBuf)
-				e = &cacheEntry{
-					key:         k,
-					trueSupport: it.trueSupport,
-					sanitized:   it.sanitized,
-					lastSeen:    pub.window,
-				}
-				pub.cache[k] = e
-				pub.markDirty(e)
-			}
-			out.Items = append(out.Items, PublishedItemset{Set: it.set, Support: it.sanitized})
+			pub.markDirty(e)
 		}
 	}
 	pub.keyBuf = keyBuf
 	return hits, misses, nil
 }
 
-// SetWorkers selects the perturbation path of subsequent Publish calls.
-//
-// The determinism contract is two-tiered:
-//
-//   - workers <= 1 (the default) runs the historical sequential draw order;
-//     output is byte-identical to pre-parallel releases for a fixed seed.
-//   - workers >= 2 runs the chunked-RNG parallel order; output is identical
-//     for EVERY worker count >= 2 with a fixed seed, because chunk boundaries
-//     and per-chunk seeds are functions of the data alone.
-//
-// The two tiers draw different random offsets (one stream vs. one stream per
-// chunk), so workers=1 and workers=2 outputs differ — both are deterministic,
-// equally calibrated, and equally private.
-func (pub *Publisher) SetWorkers(workers int) {
-	if workers < 1 {
-		workers = 1
+// helpChunks is one helper goroutine of perturb, with a key buffer of its
+// own.
+func (pub *Publisher) helpChunks() {
+	defer pub.run.wg.Done()
+	var keyBuf []byte
+	pub.drawChunks(&keyBuf)
+}
+
+// drawChunks claims chunks until none is left and perturbs each into its
+// range of the run's items, probing the republication cache through
+// *keyBuf. A panic is recovered into the run's error.
+func (pub *Publisher) drawChunks(keyBuf *[]byte) {
+	r := &pub.run
+	defer func() {
+		if v := recover(); v != nil {
+			r.mu.Lock()
+			if r.panicErr == nil {
+				r.panicErr = fmt.Errorf("core: perturbation worker panicked: %v", v)
+			}
+			r.mu.Unlock()
+		}
+	}()
+	var chunkDraws [publishChunkClasses]int
+	for {
+		c := int(r.next.Add(1)) - 1
+		if c >= len(r.firstItem)-1 {
+			return
+		}
+		if pub.chunkHook != nil {
+			pub.chunkHook(c)
+		}
+		src := rng.New(rng.Mix(r.windowSeed, uint64(c)))
+		start := c * publishChunkClasses
+		end := min(start+publishChunkClasses, len(r.classes))
+		// Shared-draw schemes consume one draw per class from the chunk's
+		// source, in order, so they are batched; the basic scheme's
+		// per-itemset draws interleave with the per-class ones and stay
+		// inline.
+		var draws []int
+		if r.shared {
+			draws = chunkDraws[:end-start]
+			src.FillIntRange(-r.half, r.half, draws)
+		}
+		i := r.firstItem[c]
+		for ci := start; ci < end; ci++ {
+			class := r.classes[ci]
+			// One shared draw per FEC keeps intra-class equality
+			// (optimized schemes); the basic scheme redraws per itemset.
+			var sharedOffset int
+			if r.shared {
+				sharedOffset = r.biases[ci] + draws[ci-start]
+			} else {
+				sharedOffset = r.biases[ci] + src.IntRange(-r.half, r.half)
+			}
+			for _, member := range class.Members {
+				*keyBuf = member.AppendKey((*keyBuf)[:0])
+				e := pub.cache[string(*keyBuf)] // alloc-free read-only probe
+				var sanitized int
+				if e != nil && !pub.cacheDisabled && e.trueSupport == class.Support {
+					sanitized = e.sanitized
+				} else if r.shared {
+					sanitized = class.Support + sharedOffset
+				} else {
+					sanitized = class.Support + r.biases[ci] + src.IntRange(-r.half, r.half)
+				}
+				r.items[i] = PublishedItemset{Set: member, Support: sanitized}
+				r.probed[i] = e
+				i++
+			}
+		}
 	}
-	pub.workers = workers
+}
+
+// SetWorkers sets how many goroutines perturb each window, the calling one
+// included (values below 1 mean 1). It sets parallelism only: every worker
+// count publishes byte-identical output for a fixed seed, because chunk
+// boundaries and per-chunk seeds are functions of the data alone.
+func (pub *Publisher) SetWorkers(workers int) {
+	pub.workers = max(workers, 1)
 }
 
 // SetTrace directs the next Publish call's bias-optimization and
@@ -526,14 +463,6 @@ func (pub *Publisher) SetWorkers(workers int) {
 // this once per window, before Publish, so the spans nest under the right
 // window track.
 func (pub *Publisher) SetTrace(w *trace.Window) { pub.tr = w }
-
-// Workers reports the configured perturbation parallelism (see SetWorkers).
-func (pub *Publisher) Workers() int {
-	if pub.workers < 1 {
-		return 1
-	}
-	return pub.workers
-}
 
 // biasesFor computes (or reuses) the per-class biases. The bias of a class
 // depends only on its support and size plus its neighbours' (all schemes are

@@ -1,8 +1,8 @@
 package core
 
 // Allocation pins for the publish hot path. The publisher's per-window
-// scratch (FEC arena, ladder memo, batched draws, key buffer, pointer-backed
-// republication cache) exists so a steady-state window costs a handful of
+// scratch (FEC arena, ladder memo, key buffer, chunk-run buffers,
+// pointer-backed republication cache) exists so a steady-state window costs a handful of
 // allocations — the Output header and its Items backing — rather than one
 // or more per published itemset. These tests pin that property with
 // testing.AllocsPerRun so a regression (a map rebuilt per window, a key
@@ -10,8 +10,9 @@ package core
 // fails loudly with a number attached.
 //
 // The bounds are per-WINDOW and deliberately leave headroom over the
-// measured steady state (single digits at workers=1; a few dozen at
-// workers=8, which pays per-goroutine setup): they are tripwires for
+// measured steady state (single digits at workers=1, which starts no
+// goroutine; more at workers=8, which pays per-goroutine setup): they are
+// tripwires for
 // per-itemset regressions — the mined windows here hold ~140 itemsets, so
 // even a single alloc-per-itemset defect blows through them.
 
@@ -24,13 +25,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// pinBounds: measured steady state is ~5 allocs/window at workers=1 and
-// ~35 at workers=8 (8 goroutines + their key buffers + scheduling).
+// pinBounds: measured steady state is 2 allocs/window at workers=1 and
+// ~9 at workers=8 (7 helper goroutines + their key buffers + scheduling).
 // A memo miss adds the bias DP's ~13 flat slices, sized once per call.
 const (
-	allocBoundSequential = 16
-	allocBoundChunked    = 96
-	allocBoundMemoMiss   = 20
+	allocBoundWorkers1 = 16
+	allocBoundWorkers8 = 96
+	allocBoundMemoMiss = 20
 )
 
 // denseResult builds a window with nClasses FECs of perClass itemsets each —
@@ -75,9 +76,9 @@ func pinPublishAllocs(t *testing.T, workers int, cacheHits, registry bool) {
 			t.Fatal(err)
 		}
 	}
-	bound := float64(allocBoundSequential)
+	bound := float64(allocBoundWorkers1)
 	if workers > 1 {
-		bound = allocBoundChunked
+		bound = allocBoundWorkers8
 	}
 	allocs := testing.AllocsPerRun(32, func() {
 		if _, err := pub.Publish(steady, 150); err != nil {

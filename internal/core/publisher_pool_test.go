@@ -1,10 +1,10 @@
 package core
 
 // Regression tests for the publisher's per-window scratch reuse (the FEC
-// partition arena, ladder memo, batched draws, key buffer, and per-chunk
-// buffers): published output must be byte-identical run over run, and an
-// Output handed out by Publish must never be disturbed by later windows
-// reusing the scratch it was assembled from.
+// partition arena, ladder memo, key buffer, and chunk-run buffers):
+// published output must be byte-identical run over run, and an Output
+// handed out by Publish must never be disturbed by later windows reusing
+// the scratch it was assembled from.
 
 import (
 	"fmt"

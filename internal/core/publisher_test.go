@@ -400,42 +400,46 @@ func TestPublishRetrySafeAfterSchemeError(t *testing.T) {
 	}
 }
 
-// TestPublishRecoversWorkerPanic: a panic inside a parallel perturbation
-// chunk is recovered into an error, the publisher state rolls back, and the
-// retried Publish matches a fault-free run byte for byte.
+// TestPublishRecoversWorkerPanic: a panic inside a perturbation chunk is
+// recovered into an error, the publisher state rolls back, and the retried
+// Publish matches a fault-free run byte for byte. At workers=1 the panic
+// fires on Publish's own goroutine.
 func TestPublishRecoversWorkerPanic(t *testing.T) {
 	res := resultWith(t, map[int][]itemset.Itemset{
 		30: {itemset.New(1), itemset.New(2)}, 40: {itemset.New(3)},
 		55: {itemset.New(1, 3)}, 70: {itemset.New(4)}, 90: {itemset.New(5)},
 	})
 	p := testParams()
-	flaky, _ := NewPublisher(p, Hybrid{Lambda: 0.4}, rng.New(9))
-	flaky.SetWorkers(4)
-	var fired atomic.Bool
-	flaky.chunkHook = func(int) {
-		if fired.CompareAndSwap(false, true) {
-			panic("injected chunk panic")
+	for _, workers := range []int{1, 4} {
+		flaky, _ := NewPublisher(p, Hybrid{Lambda: 0.4}, rng.New(9))
+		flaky.SetWorkers(workers)
+		var fired atomic.Bool
+		flaky.chunkHook = func(int) {
+			if fired.CompareAndSwap(false, true) {
+				panic("injected chunk panic")
+			}
 		}
-	}
-	if _, err := flaky.Publish(res, 100); err == nil {
-		t.Fatal("worker panic not surfaced as an error")
-	} else if !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if flaky.CacheLen() != 0 {
-		t.Fatalf("failed publish wrote %d cache entries", flaky.CacheLen())
-	}
-	flaky.chunkHook = nil
-	got, err := flaky.Publish(res, 100)
-	if err != nil {
-		t.Fatalf("retry failed: %v", err)
-	}
+		if _, err := flaky.Publish(res, 100); err == nil {
+			t.Fatalf("workers=%d: worker panic not surfaced as an error", workers)
+		} else if !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("workers=%d: unexpected error: %v", workers, err)
+		}
+		if flaky.CacheLen() != 0 {
+			t.Fatalf("workers=%d: failed publish wrote %d cache entries", workers, flaky.CacheLen())
+		}
+		flaky.chunkHook = nil
+		got, err := flaky.Publish(res, 100)
+		if err != nil {
+			t.Fatalf("workers=%d: retry failed: %v", workers, err)
+		}
 
-	clean, _ := NewPublisher(p, Hybrid{Lambda: 0.4}, rng.New(9))
-	clean.SetWorkers(4)
-	want, err := clean.Publish(res, 100)
-	if err != nil {
-		t.Fatal(err)
+		clean, _ := NewPublisher(p, Hybrid{Lambda: 0.4}, rng.New(9))
+		clean.SetWorkers(workers)
+		want, err := clean.Publish(res, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameOutputs(t, fmt.Sprintf("retry after worker panic, workers=%d", workers),
+			[]*Output{want}, []*Output{got})
 	}
-	sameOutputs(t, "retry after worker panic", []*Output{want}, []*Output{got})
 }

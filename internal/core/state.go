@@ -37,9 +37,9 @@ type CacheEntry struct {
 
 // PublisherState is the complete serializable state of a Publisher. All
 // fields are data, none are configuration: a restored publisher must be
-// built with the same Params, Scheme, seed lineage and worker tier as the
-// one snapshotted — the checkpoint layer fingerprints the configuration to
-// enforce that.
+// built with the same Params, Scheme and seed lineage as the one
+// snapshotted (any worker count) — the checkpoint layer fingerprints the
+// configuration to enforce that.
 type PublisherState struct {
 	// Window is the number of Publish calls completed.
 	Window int
@@ -177,7 +177,7 @@ func (pub *Publisher) Snapshot() *PublisherState {
 }
 
 // Restore overwrites the publisher's state with a previously captured
-// snapshot. Configuration (params, scheme, worker tier, cache policy) is
+// snapshot. Configuration (params, scheme, workers, cache policy) is
 // left untouched. It validates the snapshot's internal consistency so a
 // decoded-but-nonsensical checkpoint fails loudly here rather than
 // corrupting later windows.

@@ -82,7 +82,7 @@ func renderWindows(t *testing.T, windows []pipeline.Window) []byte {
 // centerpiece: transient failures on every 7th source read and every 5th
 // sink delivery, one injected sink panic, and malformed lines exactly
 // filling the bad-record budget — and the published bytes must not move,
-// at workers 1 (sequential draw order), 2 and 8 (chunked draw order).
+// at workers 1, 2 and 8.
 func TestFaultInjectedRunIsByteIdenticalToFaultFree(t *testing.T) {
 	text := fixtureText(t)
 	dirty, injected := corruptText(text, 100)

@@ -79,9 +79,9 @@ func diffResults(t *testing.T, name string, want, got map[string]int) {
 	}
 }
 
-// TestMinersAgreeOnRandomDatabases runs all four per-window miners (plus
-// parallel Eclat at several worker counts) over ~50 seeded random databases
-// and several minimum supports, requiring identical (itemset, support) maps.
+// TestMinersAgreeOnRandomDatabases runs the per-window miners over ~50
+// seeded random databases and several minimum supports, requiring identical
+// (itemset, support) maps.
 func TestMinersAgreeOnRandomDatabases(t *testing.T) {
 	const databases = 50
 	minSupports := []int{2, 3, 5, 9}
@@ -106,42 +106,8 @@ func TestMinersAgreeOnRandomDatabases(t *testing.T) {
 			}
 			diffResults(t, fmt.Sprintf("seed %d minsup %d: FPGrowth", seed, minsup), wantMap, resultMap(fp))
 
-			for _, workers := range []int{2, 3, 8} {
-				par, err := mining.EclatParallel(db, minsup, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffResults(t, fmt.Sprintf("seed %d minsup %d: EclatParallel(%d)", seed, minsup, workers), wantMap, resultMap(par))
-			}
 			if t.Failed() {
 				t.Fatalf("stopping after first disagreeing database (seed %d)", seed)
-			}
-		}
-	}
-}
-
-// TestParallelEclatIsOrderIdenticalToSerial pins the stronger property that
-// the parallel merge reproduces not just the same map but the exact same
-// normalized Result ordering as serial Eclat.
-func TestParallelEclatIsOrderIdenticalToSerial(t *testing.T) {
-	for seed := uint64(1); seed <= 10; seed++ {
-		db := randomDatabase(seed, 120, 12, 7)
-		serial, err := mining.Eclat(db, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := mining.EclatParallel(db, 3, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Len() != par.Len() {
-			t.Fatalf("seed %d: %d vs %d itemsets", seed, serial.Len(), par.Len())
-		}
-		for i := range serial.Itemsets {
-			a, b := serial.Itemsets[i], par.Itemsets[i]
-			if !a.Set.Equal(b.Set) || a.Support != b.Support {
-				t.Fatalf("seed %d: order diverges at %d: %v/%d vs %v/%d",
-					seed, i, a.Set, a.Support, b.Set, b.Support)
 			}
 		}
 	}
@@ -177,11 +143,11 @@ func TestMomentAgreesAcrossSlides(t *testing.T) {
 			}
 			wantMap := resultMap(want)
 			diffResults(t, fmt.Sprintf("seed %d pos %d: Moment", seed, i), wantMap, resultMap(m.Frequent()))
-			eclat, err := mining.EclatParallel(db, minsup, 3)
+			eclat, err := mining.Eclat(db, minsup)
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffResults(t, fmt.Sprintf("seed %d pos %d: EclatParallel", seed, i), wantMap, resultMap(eclat))
+			diffResults(t, fmt.Sprintf("seed %d pos %d: Eclat", seed, i), wantMap, resultMap(eclat))
 			fp, err := mining.FPGrowth(db, minsup)
 			if err != nil {
 				t.Fatal(err)
@@ -191,20 +157,5 @@ func TestMomentAgreesAcrossSlides(t *testing.T) {
 				t.Fatalf("stopping after first disagreeing window (seed %d, position %d)", seed, i)
 			}
 		}
-	}
-}
-
-// TestEclatParallelValidates pins the argument contract shared with the
-// serial entry points.
-func TestEclatParallelValidates(t *testing.T) {
-	if _, err := mining.EclatParallel(nil, 2, 4); err == nil {
-		t.Error("nil database accepted")
-	}
-	db := randomDatabase(1, 20, 6, 4)
-	if _, err := mining.EclatParallel(db, 0, 4); err == nil {
-		t.Error("zero support accepted")
-	}
-	if res, err := mining.EclatParallel(db, 2, 0); err != nil || res == nil {
-		t.Errorf("workers=0 (GOMAXPROCS default) rejected: %v", err)
 	}
 }

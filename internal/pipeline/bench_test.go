@@ -30,8 +30,8 @@ func benchRun(b *testing.B, workers int, records []itemset.Itemset) {
 	}
 }
 
-// BenchmarkRunSerial measures the Workers=1 reference path end to end
-// (incremental mining + sequential perturbation, all inline).
+// BenchmarkRunSerial measures the pipeline end to end with one perturbation
+// worker, the perturb stage's own goroutine.
 func BenchmarkRunSerial(b *testing.B) {
 	records := testRecords(b, 1600)
 	benchRun(b, 1, records)

@@ -149,23 +149,25 @@ func TestCrashDuringDeltaChainThenResume(t *testing.T) {
 	}
 }
 
-// TestDeltaResumeAcrossChunkedWorkerCounts: a chain written by a workers=2
-// run resumes byte-identically under workers=8 — the snapshot reconstructed
-// from anchor + frames is worker-count-portable like a full snapshot.
-func TestDeltaResumeAcrossChunkedWorkerCounts(t *testing.T) {
+// TestDeltaResumeAcrossWorkerCounts: a chain written at one worker count
+// resumes byte-identically under another — the snapshot reconstructed from
+// anchor + frames is worker-count-portable like a full snapshot.
+func TestDeltaResumeAcrossWorkerCounts(t *testing.T) {
 	in := resumeInput{records: testRecords(t, resumeRecords)}
 	ref := reference(t, 2, in)
 	const kill = 20 // generation 20 is a chain tip (3 frames past full@17)
-	store, err := checkpoint.NewStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ from, to int }{{2, 8}, {8, 1}, {1, 8}} {
+		store, err := checkpoint.NewStore(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runKilled(t, deltaConfig(tc.from, store, 1), in, kill)
+		if _, det, err := store.LatestDetail(); err != nil || det.Frames == 0 {
+			t.Fatalf("kill point did not land on a chain tip: %+v, %v", det, err)
+		}
+		tail := resumeRun(t, deltaConfig(tc.to, store, 1), store, in)
+		sameTail(t, fmt.Sprintf("workers %d -> %d through a chain", tc.from, tc.to), tail, ref[kill:])
 	}
-	runKilled(t, deltaConfig(2, store, 1), in, kill)
-	if _, det, err := store.LatestDetail(); err != nil || det.Frames == 0 {
-		t.Fatalf("kill point did not land on a chain tip: %+v, %v", det, err)
-	}
-	tail := resumeRun(t, deltaConfig(8, store, 1), store, in)
-	sameTail(t, "workers 2 -> 8 through a chain", tail, ref[kill:])
 }
 
 // TestSparseDeltaCheckpointRepublishesOverlapIdentically: CheckpointEvery=3

@@ -10,8 +10,8 @@
 // The miner stage pulls records incrementally from a RecordSource, pushes
 // them into the incremental Moment miner, and snapshots the frequent
 // itemsets at every publication point; the perturb stage sanitizes each
-// snapshot with the core.Publisher (itself fanning the per-itemset
-// perturbation out to a chunked worker pool); the emit stage hands finished
+// snapshot with the core.Publisher (itself spreading the per-itemset
+// perturbation over Workers goroutines); the emit stage hands finished
 // windows to the caller's callback in stream order. While window w is being
 // perturbed or emitted, the miner is already sliding toward window w+1, so
 // the stages overlap instead of alternating.
@@ -26,19 +26,17 @@
 // A fault-injected run that eventually succeeds therefore publishes output
 // byte-identical to a fault-free run.
 //
-// Determinism contract (see core.Publisher.SetWorkers): Workers <= 1 drives
-// the publisher in its historical sequential draw order — published values
-// are byte-identical to the pre-pipeline implementation. Workers >= 2 uses
-// the chunked RNG; every worker count >= 2 publishes identical output for a
-// fixed seed. Stage overlap, retries, and skipped bad records never change
-// published values at any worker count.
+// Determinism contract (see core.Publisher.SetWorkers): every worker count
+// publishes identical output for a fixed seed, and so may resume another's
+// checkpoint; Workers sets parallelism only. Stage overlap, retries, and
+// skipped bad records never change published values either.
 //
 // Observability (see metrics.go): when Config.Metrics carries a
 // telemetry.Registry, the pipeline records per-stage wall-time histograms,
 // throughput/retry/quarantine/watchdog counters and checkpoint timings, and
 // the publisher adds cache and rolling §V-C posture instruments.
 // Instrumentation is strictly observation-only — the A/B identity test pins
-// published bytes identical with telemetry on or off at every worker tier.
+// published bytes identical with telemetry on or off at every worker count.
 package pipeline
 
 import (
@@ -76,8 +74,9 @@ type Config struct {
 	// PublishEvery publishes every N slides after the window first fills;
 	// 0 publishes once, at the end of the record stream.
 	PublishEvery int
-	// Workers is the parallelism: <= 1 is the serial reference path, >= 2
-	// enables the staged pipeline and the publisher's chunked perturbation.
+	// Workers is how many goroutines perturb each window (<= 1 means one,
+	// the perturb stage's own). The stages always run concurrently, and
+	// every worker count publishes identical output.
 	Workers int
 	// Buffer is the depth of the inter-stage channels (default 4). Deeper
 	// buffers let the miner run further ahead of the perturbation stage.
@@ -195,14 +194,23 @@ func (cfg Config) fingerprint() checkpoint.Meta {
 		Scheme:       scheme.Name(),
 		ClosedOnly:   cfg.ClosedOnly,
 		Raw:          cfg.Raw,
-		Chunked:      cfg.Workers >= 2,
+		Chunked:      true,
 		PublishEvery: cfg.PublishEvery,
 	}
 }
 
+// ErrRetiredDrawOrder refuses a snapshot, or a stream manifest entry, whose
+// checkpoint.Meta.Chunked is false: an older build drew its windows in the
+// sequential workers=1 order, which no build has any more, so no run can
+// continue it byte-identically.
+var ErrRetiredDrawOrder = errors.New("pipeline: the snapshot was drawn in the retired sequential (workers=1) order of an older build and cannot be continued; delete it and start the stream afresh")
+
 // verifyResume rejects a snapshot that cannot deterministically continue
 // this configuration.
 func (cfg Config) verifyResume(s *checkpoint.Snapshot) error {
+	if !s.Meta.Chunked {
+		return ErrRetiredDrawOrder
+	}
 	if got, want := s.Meta, cfg.fingerprint(); got != want {
 		return fmt.Errorf("pipeline: resume snapshot was taken under a different configuration (%+v, running %+v)",
 			got, want)
@@ -389,11 +397,7 @@ func (p *Pipeline) RunContext(ctx context.Context, src RecordSource, emit func(W
 	if err != nil {
 		return nil, err
 	}
-	workers := p.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	stream.Publisher().SetWorkers(workers)
+	stream.Publisher().SetWorkers(p.cfg.Workers)
 	if p.cfg.Metrics != nil {
 		stream.Publisher().SetMetrics(p.cfg.Metrics)
 	}

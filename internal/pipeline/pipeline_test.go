@@ -103,8 +103,8 @@ func legacyDrive(t *testing.T, cfg pipeline.Config, pubWorkers int, records []it
 }
 
 // TestSerialPathMatchesLegacyDrive pins the Workers=1 pipeline to the
-// historical inline loop: same windows, same sanitized supports, same order
-// — the byte-compatibility guarantee behind `-workers 1`.
+// historical inline loop: same windows, same sanitized supports, same
+// order.
 func TestSerialPathMatchesLegacyDrive(t *testing.T) {
 	records := testRecords(t, 900)
 	cfg := testConfig(1)
@@ -123,18 +123,17 @@ func TestStagedMatchesSequentialChunkedDrive(t *testing.T) {
 }
 
 // TestStagedWorkerCountInvariance requires identical output from every
-// staged worker count (the chunked-RNG determinism contract end to end).
+// worker count (the chunked-RNG determinism contract end to end).
 func TestStagedWorkerCountInvariance(t *testing.T) {
 	records := testRecords(t, 900)
 	ref := collect(t, testConfig(2), records)
-	for _, workers := range []int{3, 4, 8} {
+	for _, workers := range []int{1, 3, 4, 8} {
 		sameWindows(t, "staged worker invariance", ref, collect(t, testConfig(workers), records))
 	}
 }
 
 // TestRawModeIdenticalAcrossAllWorkerCounts: audit mode never touches the
-// RNG, so raw output must be identical across every worker count including
-// the serial path.
+// RNG, so raw output must be identical across every worker count.
 func TestRawModeIdenticalAcrossAllWorkerCounts(t *testing.T) {
 	records := testRecords(t, 900)
 	mk := func(workers int) pipeline.Config {

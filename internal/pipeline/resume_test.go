@@ -435,25 +435,27 @@ func TestCrashDuringCheckpointSaveThenResume(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossChunkedWorkerCounts: the chunked tier publishes
-// identically for every worker count >= 2, so a snapshot from a workers=2
-// run must resume byte-identically under workers=8 (and vice versa).
-func TestResumeAcrossChunkedWorkerCounts(t *testing.T) {
+// TestResumeAcrossWorkerCounts: every worker count publishes identically,
+// so a snapshot from one must resume byte-identically under any other.
+func TestResumeAcrossWorkerCounts(t *testing.T) {
 	in := resumeInput{records: testRecords(t, resumeRecords)}
 	ref := reference(t, 2, in)
 	const kill = 20
-	store, err := checkpoint.NewStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ from, to int }{{2, 8}, {8, 1}, {1, 8}} {
+		store, err := checkpoint.NewStore(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runKilled(t, resumeConfig(tc.from, store, 1), in, kill)
+		tail := resumeRun(t, resumeConfig(tc.to, store, 1), store, in)
+		sameTail(t, fmt.Sprintf("workers %d -> %d", tc.from, tc.to), tail, ref[kill:])
 	}
-	runKilled(t, resumeConfig(2, store, 1), in, kill)
-	tail := resumeRun(t, resumeConfig(8, store, 1), store, in)
-	sameTail(t, "workers 2 -> 8", tail, ref[kill:])
 }
 
 // TestResumeRefusesMismatchedConfiguration: a snapshot from one
-// configuration must not restore into another — seed, scheme, window, or
-// draw-order tier.
+// configuration must not restore into another — seed, scheme, cadence or
+// audit mode — and a snapshot an older build drew in the retired
+// sequential order is refused with that cause.
 func TestResumeRefusesMismatchedConfiguration(t *testing.T) {
 	in := resumeInput{records: testRecords(t, resumeRecords)}
 	store, err := checkpoint.NewStore(t.TempDir(), 0)
@@ -469,7 +471,6 @@ func TestResumeRefusesMismatchedConfiguration(t *testing.T) {
 		func(c *pipeline.Config) { c.Seed = 99 },
 		func(c *pipeline.Config) { c.Scheme = core.Basic{} },
 		func(c *pipeline.Config) { c.PublishEvery = 5 },
-		func(c *pipeline.Config) { c.Workers = 1 }, // chunked -> sequential tier
 		func(c *pipeline.Config) { c.Raw = true },
 	}
 	for i, mutate := range mismatches {
@@ -485,6 +486,27 @@ func TestResumeRefusesMismatchedConfiguration(t *testing.T) {
 	cfg.Resume = snap
 	if _, err := pipeline.New(cfg); err != nil {
 		t.Fatalf("matching configuration refused: %v", err)
+	}
+
+	// An older build's workers=1 snapshot: this snapshot with the Chunked
+	// flag clear, refused under every worker count.
+	retired := *snap
+	retired.Meta.Chunked = false
+	enc, err := checkpoint.Encode(&retired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := checkpoint.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := resumeConfig(workers, store, 1)
+		cfg.Resume = decoded
+		_, err := pipeline.New(cfg)
+		if !errors.Is(err, pipeline.ErrRetiredDrawOrder) || !strings.Contains(err.Error(), "retired sequential") {
+			t.Errorf("workers=%d: retired-order snapshot: %v, want %v", workers, err, pipeline.ErrRetiredDrawOrder)
+		}
 	}
 }
 

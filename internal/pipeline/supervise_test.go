@@ -43,7 +43,7 @@ func leakCheck(t *testing.T) func() {
 
 // TestEmitErrorMidRunShutsDownCleanly: a permanent emit failure mid-run
 // cancels the upstream stages, returns that error (not a cancellation
-// artifact), and leaks nothing — at both worker tiers, repeatedly, so the
+// artifact), and leaks nothing — at workers 1 and 8, repeatedly, so the
 // first-error choice is shown to be deterministic.
 func TestEmitErrorMidRunShutsDownCleanly(t *testing.T) {
 	sentinel := errors.New("sink rejected the window")

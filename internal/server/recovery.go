@@ -247,6 +247,10 @@ func (s *Server) adopt(id string, e manifestEntry) (parked bool, replayed int, t
 		park(StateQuarantined, errRawRefused.Error(), true)
 		return
 	}
+	if !e.Fingerprint.Chunked {
+		park(StateQuarantined, pipeline.ErrRetiredDrawOrder.Error(), true)
+		return
+	}
 	if fp := st.pipeCfg.Fingerprint(); fp != e.Fingerprint {
 		park(StateQuarantined, "manifest fingerprint does not match the stream config", true)
 		return

@@ -441,6 +441,102 @@ func TestRecoverParksRawStream(t *testing.T) {
 	waitGone(t, filepath.Join(root, "streams", "r"))
 }
 
+// TestRecoverParksRetiredDrawOrder: a stream an older build ran at
+// workers=1 carries Chunked=false in its manifest fingerprint and its
+// checkpoints — drawn in a sequential order no build has any more. Boot
+// adoption parks it quarantined with that cause, whether the manifest or
+// only the checkpoint says so, instead of continuing it in another order.
+func TestRecoverParksRetiredDrawOrder(t *testing.T) {
+	for _, manifestToo := range []bool{true, false} {
+		t.Run(fmt.Sprintf("manifest=%v", manifestToo), func(t *testing.T) {
+			root := t.TempDir()
+			srv1, c1 := newTestServer(t, Options{DataDir: root})
+			cfg := testConfig("o", 1)
+			cfg.Workers = 1
+			cfg.CheckpointEvery = 1
+			c1.create(cfg)
+			c1.ingestAll("o", genInput(t, 2, 260))
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				if _, st := c1.status("o"); st.CheckpointRecords >= 250 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("no checkpoint at record 250")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			srv1.Abort()
+
+			// Rewrite the checkpoints and the manifest entry as the older
+			// build stored them.
+			store, err := checkpoint.NewStore(filepath.Join(root, "streams", "o"), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gens, err := store.Generations()
+			if err != nil || len(gens) == 0 {
+				t.Fatalf("no checkpoint generations: %v", err)
+			}
+			for _, gen := range gens {
+				snap, err := checkpoint.Load(gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap.Meta.Chunked = false
+				b, err := checkpoint.Encode(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := checkpoint.AtomicWrite(gen, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if manifestToo {
+				path := filepath.Join(root, "manifest.json")
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mf manifestFile
+				if err := json.Unmarshal(b, &mf); err != nil {
+					t.Fatal(err)
+				}
+				e := mf.Streams["o"]
+				e.Fingerprint.Chunked = false
+				mf.Streams["o"] = e
+				if b, err = json.Marshal(mf); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			srv2, c2 := newTestServer(t, Options{DataDir: root})
+			rep, err := srv2.Recover()
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if rep.Adopted != 0 || rep.Parked != 1 {
+				t.Fatalf("recover adopted %d / parked %d, want 0/1", rep.Adopted, rep.Parked)
+			}
+			_, st := c2.status("o")
+			if st.State != StateQuarantined || st.LastError != pipeline.ErrRetiredDrawOrder.Error() {
+				t.Fatalf("retired-order stream adopted as %q (%q), want quarantined with %q",
+					st.State, st.LastError, pipeline.ErrRetiredDrawOrder)
+			}
+			if got := c2.windows("o"); len(got) != 0 {
+				t.Fatalf("parked stream serves %d windows", len(got))
+			}
+			if resp, body := c2.do("DELETE", "/v1/streams/o", nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("delete: %d %s", resp.StatusCode, body)
+			}
+			waitGone(t, filepath.Join(root, "streams", "o"))
+		})
+	}
+}
+
 // TestRecoverOrphanSweep pins the GC ordering contract: directories the
 // manifest does not claim are swept at boot, and an unreadable manifest
 // aborts recovery without sweeping anything.
