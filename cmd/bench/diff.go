@@ -4,23 +4,27 @@ package main
 // compared scenario-by-scenario against the checked-in BENCH_pipeline.json
 // and the process exits non-zero when the hot path got measurably worse.
 //
-// The comparison policy separates deterministic metrics from noisy ones:
+// The comparison policy separates what the code decides from what the
+// machine does:
 //
-//   - allocs/op is a property of the code, not the machine — the same build
-//     allocates the same count at any CPU speed, even under -quick's single
-//     iteration. A regression beyond allocTolerance always FAILS.
+//   - allocs/op, and the checkpointed scenarios' syncs/op and disk
+//     bytes/op, are properties of the code — the same build allocates,
+//     syncs and writes the same at any CPU or disk speed, even under
+//     -quick's single iteration. They FAIL in any context: allocs/op and
+//     disk bytes/op beyond countTolerance, syncs/op on any growth (each
+//     sync is a policy decision, and the counts are small integers).
 //   - windows/sec is wall-clock. Under comparable conditions (same quick
 //     mode, CPU count, GOMAXPROCS) a drop beyond windowsTolerance FAILS;
 //     when the contexts differ the drop degrades to a WARN, because a
 //     one-iteration CI smoke run on a different box cannot indict the code.
+//     The publish/workers=2 and =8 tiers measure scheduling overhead, not
+//     parallel speedup, on fewer than two CPUs, so a fresh run with
+//     GOMAXPROCS below 2 only WARNs on them too.
 //   - the durability tax — each publish/checkpointed* scenario's
-//     windows/sec as a fraction of the same run's publish/workers=2 — is
-//     gated unconditionally: numerator and denominator come from one
-//     process on one box, so the ratio is a property of the code (sync
-//     count and snapshot bytes per generation) the way allocs/op is, and
-//     it FAILS beyond taxTolerance even when the contexts differ. Quietly
-//     re-growing the tax is exactly what delta checkpointing was built to
-//     prevent, so the checkpointed scenarios are never WARN-only.
+//     windows/sec as a fraction of the same run's publish/workers=2 — only
+//     WARNs: it is fsync latency against CPU speed, a property of the box.
+//     The syncs/op and disk bytes/op gates above hold the checkpointed
+//     scenarios to what the code controls.
 //   - ns/op only ever WARNs: it moves with windows/sec on the pipeline
 //     scenarios and is pure noise on the mining microbenchmarks' short runs.
 //
@@ -37,10 +41,10 @@ import (
 
 // Regression tolerances, as fractions of the baseline value.
 const (
-	allocTolerance   = 0.25 // allocs/op may grow this much before failing
+	countTolerance   = 0.25 // allocs/op and disk bytes/op may grow this much before failing
 	windowsTolerance = 0.15 // windows/sec may drop this much before failing
 	nsTolerance      = 0.15 // ns/op beyond this warns (never fails)
-	taxTolerance     = 0.25 // the checkpointed/plain throughput ratio may drop this much
+	taxTolerance     = 0.25 // the checkpointed/plain throughput ratio may drop this much before warning
 )
 
 // taxBaseScenario is the uncheckpointed run the durability tax is measured
@@ -97,18 +101,33 @@ func contextNote(baseline, fresh report) string {
 	return ""
 }
 
+// wallNote returns "" when scenario's wall-clock numbers are comparable
+// between the two reports, or the reason they are not.
+func wallNote(baseline, fresh report, scenario string) string {
+	if note := contextNote(baseline, fresh); note != "" {
+		return "context not comparable: " + note
+	}
+	if fresh.GOMAXPROCS < 2 && (scenario == "publish/workers=2" || scenario == "publish/workers=8") {
+		return fmt.Sprintf("GOMAXPROCS=%d runs the worker tier on one CPU", fresh.GOMAXPROCS)
+	}
+	return ""
+}
+
+// countGrowth FAILs a deterministic per-op count that grew beyond tol over
+// a positive baseline.
+func countGrowth(scenario, metric string, base, cur, tol float64) []finding {
+	if base <= 0 || cur <= base*(1+tol) {
+		return nil
+	}
+	return []finding{{"FAIL", scenario, fmt.Sprintf("%s %.0f exceeds baseline %.0f by more than %.0f%%",
+		metric, cur, base, tol*100)}}
+}
+
 // compareReports diffs a fresh run against the baseline and returns the
 // findings, most severe first within each scenario. An empty slice means
 // everything is within tolerance.
 func compareReports(baseline, fresh report) []finding {
 	var findings []finding
-	note := contextNote(baseline, fresh)
-	// Wall-clock regressions can only fail under a comparable context.
-	wallLevel := "FAIL"
-	if note != "" {
-		wallLevel = "WARN"
-	}
-
 	freshByName := make(map[string]result, len(fresh.Scenarios))
 	for _, r := range fresh.Scenarios {
 		freshByName[r.Name] = r
@@ -123,23 +142,22 @@ func compareReports(baseline, fresh report) []finding {
 				"scenario in the baseline but missing from this run (renamed or deleted? refresh the baseline deliberately)"})
 			continue
 		}
-		if base.AllocsPerOp > 0 {
-			limit := float64(base.AllocsPerOp) * (1 + allocTolerance)
-			if float64(cur.AllocsPerOp) > limit {
-				findings = append(findings, finding{"FAIL", base.Name,
-					fmt.Sprintf("allocs/op %d exceeds baseline %d by more than %.0f%%",
-						cur.AllocsPerOp, base.AllocsPerOp, allocTolerance*100)})
-			}
-		}
+		findings = append(findings, countGrowth(base.Name, "allocs/op",
+			float64(base.AllocsPerOp), float64(cur.AllocsPerOp), countTolerance)...)
+		findings = append(findings, countGrowth(base.Name, "syncs/op", base.SyncsPerOp, cur.SyncsPerOp, 0)...)
+		findings = append(findings, countGrowth(base.Name, "disk bytes/op",
+			base.DiskBytesPerOp, cur.DiskBytesPerOp, countTolerance)...)
 		if base.WindowsPerSec > 0 && cur.WindowsPerSec > 0 {
 			floor := base.WindowsPerSec * (1 - windowsTolerance)
 			if cur.WindowsPerSec < floor {
+				level := "FAIL"
 				msg := fmt.Sprintf("windows/sec %.1f below baseline %.1f by more than %.0f%%",
 					cur.WindowsPerSec, base.WindowsPerSec, windowsTolerance*100)
-				if note != "" {
-					msg += " (context not comparable: " + note + ")"
+				if note := wallNote(baseline, fresh, base.Name); note != "" {
+					level = "WARN"
+					msg += " (" + note + ")"
 				}
-				findings = append(findings, finding{wallLevel, base.Name, msg})
+				findings = append(findings, finding{level, base.Name, msg})
 			}
 		}
 		if f, ok := durabilityTax(base, cur, baseline, fresh); ok {
@@ -163,11 +181,10 @@ func compareReports(baseline, fresh report) []finding {
 	return findings
 }
 
-// durabilityTax gates a publish/checkpointed* scenario's throughput as a
-// fraction of the same run's taxBaseScenario. Because both sides of each
-// ratio were measured by one process on one machine, a ratio drop indicts
-// the code, not the box — so this FAILS regardless of context, which is
-// what keeps the checkpointed scenarios gated under CI's quick smoke runs.
+// durabilityTax WARNs when a publish/checkpointed* scenario's throughput,
+// as a fraction of the same run's taxBaseScenario, fell beyond taxTolerance.
+// The ratio divides fsync latency by CPU speed, so it moves with the box;
+// the syncs/op and disk bytes/op counts are what gate the code.
 func durabilityTax(base, cur result, baseline, fresh report) (finding, bool) {
 	if !strings.HasPrefix(base.Name, "publish/checkpointed") {
 		return finding{}, false
@@ -182,8 +199,8 @@ func durabilityTax(base, cur result, baseline, fresh report) (finding, bool) {
 	if curRatio >= baseRatio*(1-taxTolerance) {
 		return finding{}, false
 	}
-	return finding{"FAIL", base.Name, fmt.Sprintf(
-		"durability tax regressed: %.0f%% of %s throughput, baseline %.0f%% (ratio gate is machine-independent, fails in any context)",
+	return finding{"WARN", base.Name, fmt.Sprintf(
+		"durability tax rose: %.0f%% of %s throughput, baseline %.0f%% (fsync latency against CPU speed: warns only)",
 		curRatio*100, taxBaseScenario, baseRatio*100)}, true
 }
 
@@ -196,24 +213,21 @@ func scenarioWPS(rep report, name string) float64 {
 	return 0
 }
 
-// runDiff loads the baseline, compares, prints findings to stderr, and
-// reports whether the gate passed.
-func runDiff(baselinePath string, fresh report) (ok bool, err error) {
-	baseline, err := loadBaseline(baselinePath)
-	if err != nil {
-		return false, err
-	}
+// runDiff compares a fresh run against the baseline read from
+// baselinePath, prints findings to stderr, and reports whether the gate
+// passed.
+func runDiff(baseline report, baselinePath string, fresh report) bool {
 	findings := compareReports(baseline, fresh)
 	for _, f := range findings {
 		fmt.Fprintf(os.Stderr, "bench: diff: %s\n", f)
 	}
 	if hasFailures(findings) {
-		return false, nil
+		return false
 	}
 	if len(findings) == 0 {
 		fmt.Fprintf(os.Stderr, "bench: diff: no regressions against %s\n", baselinePath)
 	} else {
 		fmt.Fprintf(os.Stderr, "bench: diff: warnings only, gate passes\n")
 	}
-	return true, nil
+	return true
 }

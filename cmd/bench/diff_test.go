@@ -44,6 +44,33 @@ func mkTaxReport(quick bool, plainWPS, ckptWPS float64) report {
 	}
 }
 
+// withDiskIO sets the checkpointed scenario's syncs/op and disk bytes/op.
+func withDiskIO(r report, syncs, bytes float64) report {
+	r.Scenarios = append([]result(nil), r.Scenarios...)
+	for i := range r.Scenarios {
+		if r.Scenarios[i].Name == "publish/checkpointed-delta" {
+			r.Scenarios[i].SyncsPerOp, r.Scenarios[i].DiskBytesPerOp = syncs, bytes
+		}
+	}
+	return r
+}
+
+// mkTierReport builds a comparable single-CPU report with the workers=1 and
+// workers=2 publish tiers at the given windows/sec.
+func mkTierReport(wps1, wps2 float64) report {
+	mk := func(name string, wps float64) result {
+		return result{
+			Name: name, Iterations: 3, NsPerOp: 8_000_000, AllocsPerOp: 10000,
+			BytesPerOp: 1 << 20, WindowsPerOp: benchWindows, WindowsPerSec: wps,
+		}
+	}
+	return report{
+		Schema: benchSchema,
+		CPUs:   1, GOMAXPROCS: 1,
+		Scenarios: []result{mk("publish/workers=1", wps1), mk("publish/workers=2", wps2)},
+	}
+}
+
 func levelsFor(t *testing.T, findings []finding, scenario string) []string {
 	t.Helper()
 	var got []string
@@ -124,14 +151,12 @@ func TestCompareReports(t *testing.T) {
 		},
 		{
 			// The tax ratio drops from 33% to 22% of plain throughput
-			// (-33% > 25% tolerance): that fails even in quick mode, while
-			// the absolute windows/sec drops only warn there.
-			name:      "durability tax regression fails even under mismatched context",
+			// (-33% > 25% tolerance): a wall-clock ratio, so it only warns,
+			// like the absolute windows/sec drops in quick mode.
+			name:      "durability tax drop only warns",
 			baseline:  mkTaxReport(false, 2000, 660),
 			fresh:     mkTaxReport(true, 1500, 330),
-			wantFail:  true,
-			wantFails: 1,
-			wantWarns: 2, // both scenarios' absolute windows/sec drops
+			wantWarns: 3, // the tax, and both scenarios' absolute windows/sec drops
 		},
 		{
 			// A uniformly slower quick run preserves the tax ratio: the
@@ -143,12 +168,51 @@ func TestCompareReports(t *testing.T) {
 		},
 		{
 			// Same comparable context: the absolute windows/sec drop fails
-			// on its own, and the ratio gate fires alongside it.
-			name:      "checkpointed regression under comparable context fails twice",
+			// on its own, and the tax warns alongside it.
+			name:      "checkpointed regression under comparable context fails once",
 			baseline:  mkTaxReport(false, 2000, 660),
 			fresh:     mkTaxReport(false, 2000, 330),
 			wantFail:  true,
-			wantFails: 2,
+			wantFails: 1,
+			wantWarns: 1,
+		},
+		{
+			// A data sync after every delta frame: 4 syncs/op become 10.
+			name:      "sync growth fails in any context",
+			baseline:  withDiskIO(mkTaxReport(false, 2000, 660), 4, 20000),
+			fresh:     withDiskIO(mkTaxReport(true, 2000, 660), 10, 20000),
+			wantFail:  true,
+			wantFails: 1,
+		},
+		{
+			name:      "one extra sync per op fails",
+			baseline:  withDiskIO(mkTaxReport(false, 2000, 660), 4, 20000),
+			fresh:     withDiskIO(mkTaxReport(false, 2000, 660), 5, 20000),
+			wantFail:  true,
+			wantFails: 1,
+		},
+		{
+			// Full snapshots written where delta frames belong.
+			name:      "disk bytes growth fails in any context",
+			baseline:  withDiskIO(mkTaxReport(false, 2000, 660), 4, 20000),
+			fresh:     withDiskIO(mkTaxReport(true, 2000, 660), 4, 60000),
+			wantFail:  true,
+			wantFails: 1,
+		},
+		{
+			name:     "disk bytes within tolerance and fewer syncs pass",
+			baseline: withDiskIO(mkTaxReport(false, 2000, 660), 4, 20000),
+			fresh:    withDiskIO(mkTaxReport(false, 2000, 660), 3, 24000), // +20% bytes
+		},
+		{
+			// On one CPU the workers=2 tier measures scheduling, so its drop
+			// only warns; the workers=1 drop under the same context fails.
+			name:      "parallel tier drop only warns at GOMAXPROCS=1",
+			baseline:  mkTierReport(1000, 1000),
+			fresh:     mkTierReport(800, 800),
+			wantFail:  true,
+			wantFails: 1,
+			wantWarns: 1,
 		},
 		{
 			name:     "alloc regression still fails under mismatched context",

@@ -4,8 +4,9 @@
 // and checkpointed runs (all-full snapshots and delta chains) — through
 // testing.Benchmark and
 // writes the measurements to BENCH_pipeline.json (ns/op, windows/sec,
-// allocs/op, bytes/op per scenario). The JSON is the machine-readable perf
-// trajectory CI archives on every build, so a regression shows up as a
+// allocs/op, bytes/op per scenario, and the checkpoint store's syncs/op and
+// disk bytes/op for the checkpointed runs). The JSON is the machine-readable
+// perf trajectory CI archives on every build, so a regression shows up as a
 // diffable artifact rather than a hunch.
 //
 //	bench                 # full measurement, writes BENCH_pipeline.json
@@ -22,10 +23,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/fec"
@@ -67,6 +68,12 @@ type result struct {
 	BytesPerOp    int64   `json:"bytes_per_op"`
 	WindowsPerOp  int     `json:"windows_per_op,omitempty"`
 	WindowsPerSec float64 `json:"windows_per_sec,omitempty"`
+	// SyncsPerOp counts the checkpoint store's data syncs and directory
+	// fsyncs per op, and DiskBytesPerOp the bytes it writes; checkpointed
+	// scenarios only. Like allocs/op they are decided by the code, not the
+	// disk, so they read the same at any iteration count.
+	SyncsPerOp     float64 `json:"syncs_per_op,omitempty"`
+	DiskBytesPerOp float64 `json:"disk_bytes_per_op,omitempty"`
 }
 
 // report is the BENCH_pipeline.json document. CPUs and GOMAXPROCS record
@@ -148,7 +155,8 @@ func benchBias(records []itemset.Itemset, gamma int) func(b *testing.B) {
 // worker tier. fullEvery > 0 additionally checkpoints every window:
 // fullEvery=1 writes a full snapshot per generation (the v1 durability tax),
 // fullEvery=N>1 anchors a full every N generations and appends delta frames
-// between them (the v2 chain format).
+// between them (the v2 chain format). Checkpointed runs report the store's
+// syncs and disk bytes per op as the metrics syncs/op and disk-B/op.
 func benchPublish(records []itemset.Itemset, workers, fullEvery int) func(b *testing.B) {
 	return func(b *testing.B) {
 		cfg := pipeline.Config{
@@ -159,18 +167,28 @@ func benchPublish(records []itemset.Itemset, workers, fullEvery int) func(b *tes
 			PublishEvery: benchPublishEvery,
 			Workers:      workers,
 		}
+		var dir string
 		if fullEvery > 0 {
-			dir, err := os.MkdirTemp("", "bench-ckpt-*")
-			if err != nil {
+			var err error
+			if dir, err = os.MkdirTemp("", "bench-ckpt-*"); err != nil {
 				b.Fatal(err)
 			}
 			defer os.RemoveAll(dir)
-			cfg.CheckpointDir = dir
 			cfg.CheckpointEvery = 1
 			cfg.CheckpointFullEvery = fullEvery
 		}
+		var disk checkpoint.IOStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if dir != "" {
+				// A store per run, as the pipeline builds one from
+				// CheckpointDir, so its counters cover exactly one run.
+				st, err := checkpoint.NewStore(dir, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg.Checkpoints = st
+			}
 			p, err := pipeline.New(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -185,6 +203,19 @@ func benchPublish(records []itemset.Itemset, workers, fullEvery int) func(b *tes
 			if published != benchWindows {
 				b.Fatalf("published %d windows, want %d", published, benchWindows)
 			}
+			if st := cfg.Checkpoints; st != nil {
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+				run := st.IOStats()
+				disk.DataSyncs += run.DataSyncs
+				disk.DirSyncs += run.DirSyncs
+				disk.Bytes += run.Bytes
+			}
+		}
+		if dir != "" {
+			b.ReportMetric(float64(disk.DataSyncs+disk.DirSyncs)/float64(b.N), "syncs/op")
+			b.ReportMetric(float64(disk.Bytes)/float64(b.N), "disk-B/op")
 		}
 	}
 }
@@ -242,28 +273,16 @@ func runSuite(quick bool, timestamp string) report {
 	}
 	for _, sc := range scenarios() {
 		fmt.Fprintf(os.Stderr, "bench: %s...\n", sc.name)
-		if quick {
-			// One iteration is enough for the alloc gate, but the
-			// checkpointed scenarios feed the durability-tax ratio gate and
-			// a single fsync-bound iteration is too noisy to gate on; ten
-			// iterations still cost well under a second.
-			bt := "1x"
-			if strings.HasPrefix(sc.name, "publish/checkpointed") {
-				bt = "10x"
-			}
-			if err := setBenchtime(bt); err != nil {
-				fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
 		r := testing.Benchmark(sc.bench)
 		res := result{
-			Name:         sc.name,
-			Iterations:   r.N,
-			NsPerOp:      r.NsPerOp(),
-			AllocsPerOp:  r.AllocsPerOp(),
-			BytesPerOp:   r.AllocedBytesPerOp(),
-			WindowsPerOp: sc.windows,
+			Name:           sc.name,
+			Iterations:     r.N,
+			NsPerOp:        r.NsPerOp(),
+			AllocsPerOp:    r.AllocsPerOp(),
+			BytesPerOp:     r.AllocedBytesPerOp(),
+			WindowsPerOp:   sc.windows,
+			SyncsPerOp:     r.Extra["syncs/op"],
+			DiskBytesPerOp: r.Extra["disk-B/op"],
 		}
 		if sc.windows > 0 && r.NsPerOp() > 0 {
 			res.WindowsPerSec = float64(sc.windows) / (float64(r.NsPerOp()) / 1e9)
@@ -301,6 +320,16 @@ func main() {
 		"JSONL file to append this run's headline numbers to (see history.go; CI accumulates BENCH_history.jsonl)")
 	flag.Parse()
 
+	// Read the baseline before the run: -out defaults to the baseline's own
+	// file name, and the fresh report is written before the comparison.
+	var baseline report
+	if *diff != "" {
+		var err error
+		if baseline, err = loadBaseline(*diff); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	if *quick {
 		if err := setBenchtime("1x"); err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
@@ -324,15 +353,8 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "bench: appended to %s\n", *history)
 	}
-	if *diff != "" {
-		ok, err := runDiff(*diff, rep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		if !ok {
-			fmt.Fprintf(os.Stderr, "bench: perf-regression gate FAILED against %s\n", *diff)
-			os.Exit(1)
-		}
+	if *diff != "" && !runDiff(baseline, *diff, rep) {
+		fmt.Fprintf(os.Stderr, "bench: perf-regression gate FAILED against %s\n", *diff)
+		os.Exit(1)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/data"
 )
 
 func TestBenchSuiteWellFormedJSON(t *testing.T) {
@@ -64,4 +66,39 @@ func TestBenchSuiteWellFormedJSON(t *testing.T) {
 			t.Errorf("scenario %s windows_per_op = %d, want %d", sc.Name, sc.WindowsPerOp, benchWindows)
 		}
 	}
+}
+
+// TestCheckpointDiskIOPerOp: the checkpointed scenarios' syncs/op and disk
+// bytes/op are per-run counts decided by the code, so they read the same at
+// one iteration and at three — what lets the gate fail on them under
+// -quick's single iteration — and delta chains issue fewer of both than
+// all-full checkpointing.
+func TestCheckpointDiskIOPerOp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the checkpointed pipeline scenarios")
+	}
+	records := data.WebViewLike(benchSeed).Generate(benchRecords)
+	perOp := map[int]map[string]float64{}
+	for _, fullEvery := range []int{1, 16} {
+		for _, bt := range []string{"1x", "3x"} {
+			if err := setBenchtime(bt); err != nil {
+				t.Fatal(err)
+			}
+			got := testing.Benchmark(benchPublish(records, 2, fullEvery)).Extra
+			if want := perOp[fullEvery]; want != nil &&
+				(got["syncs/op"] != want["syncs/op"] || got["disk-B/op"] != want["disk-B/op"]) {
+				t.Errorf("fullEvery=%d: %v at benchtime %s, %v at 1x", fullEvery, got, bt, want)
+			}
+			perOp[fullEvery] = got
+		}
+	}
+	if err := setBenchtime("1x"); err != nil {
+		t.Fatal(err)
+	}
+	full, delta := perOp[1], perOp[16]
+	if !(0 < delta["syncs/op"] && delta["syncs/op"] < full["syncs/op"]) ||
+		!(0 < delta["disk-B/op"] && delta["disk-B/op"] < full["disk-B/op"]) {
+		t.Errorf("delta chains %v do not undercut all-full checkpointing %v", delta, full)
+	}
+	t.Logf("all-full %v, delta %v", full, delta)
 }

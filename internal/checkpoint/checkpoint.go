@@ -23,7 +23,8 @@
 // The checksum covers everything before it (magic, version, payload).
 // Integers are varint-encoded (unsigned where the domain is non-negative,
 // zigzag where it is not); itemsets are delta-encoded over their strictly
-// increasing items.
+// increasing items. Both formats encode through internal/frame, the codec
+// the ingest WAL shares.
 //
 // Delta frames (format version 2, see delta.go) live in an append-only
 // chain segment (delta-%016d.bfdl) beside the full snapshot that anchors
@@ -64,6 +65,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/itemset"
 )
 
@@ -136,11 +138,10 @@ func Encode(s *Snapshot) ([]byte, error) {
 	b = binary.AppendUvarint(b, s.Records)
 	b = binary.AppendUvarint(b, s.BadRecords)
 	b = binary.AppendUvarint(b, s.Published)
-	b = binary.AppendUvarint(b, uint64(len(s.Window)))
-	for _, rec := range s.Window {
-		b = appendItemset(b, rec)
-	}
-	b = appendPublisher(b, &s.Publisher)
+	b = appendRecords(b, s.Window)
+	st := &s.Publisher
+	b = appendMemo(b, st.Window, st.RNG, st.BiasReuses, st.Ladder, st.Biases)
+	b = appendEntries(b, st.Cache)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
 }
 
@@ -162,41 +163,25 @@ func Decode(data []byte) (*Snapshot, error) {
 	if v := binary.LittleEndian.Uint32(data[len(magic):]); v != Version {
 		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, v, Version)
 	}
-	r := &reader{b: body[len(magic)+4:]}
-	s := &Snapshot{}
-	var err error
-	if s.Meta, err = r.meta(); err != nil {
+	r := frame.NewReader(body[len(magic)+4:], ErrCorrupt)
+	s := &Snapshot{Meta: readMeta(r)}
+	s.Records = r.Uvarint()
+	s.BadRecords = r.Uvarint()
+	s.Published = r.Uvarint()
+	s.Window = readRecords(r, "window records")
+	st := &s.Publisher
+	st.Window, st.RNG, st.BiasReuses, st.Ladder, st.Biases = readMemo(r)
+	st.Cache = readEntries(r, "cache entries")
+	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	if s.Records, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	if s.BadRecords, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	if s.Published, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	n, err := r.count("window records")
-	if err != nil {
-		return nil, err
-	}
-	s.Window = make([]itemset.Itemset, n)
-	for i := range s.Window {
-		if s.Window[i], err = r.itemset(); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.publisher(&s.Publisher); err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, r.remaining())
 	}
 	return s, nil
 }
 
-// ---- encoding helpers ----
+// The payload parts below are shared by both formats where they carry the
+// same data: a full snapshot's window buffer and a delta's appended records
+// are one record list, and both write the publisher memo and a cache-entry
+// list (the whole cache, or the upserts) in identical bytes.
 
 func appendMeta(b []byte, m Meta) []byte {
 	b = binary.AppendVarint(b, int64(m.WindowSize))
@@ -205,54 +190,29 @@ func appendMeta(b []byte, m Meta) []byte {
 	b = binary.AppendVarint(b, int64(m.MinSupport))
 	b = binary.AppendVarint(b, int64(m.VulnSupport))
 	b = binary.LittleEndian.AppendUint64(b, m.Seed)
-	b = appendString(b, m.Scheme)
+	b = frame.AppendString(b, m.Scheme)
 	b = appendBool(b, m.ClosedOnly)
 	b = appendBool(b, m.Raw)
 	b = appendBool(b, m.Chunked)
 	return binary.AppendVarint(b, int64(m.PublishEvery))
 }
 
-// appendItemset delta-encodes a canonical (strictly increasing) itemset:
-// the first item verbatim, every later item as (gap-1) from its
-// predecessor. Decoding therefore reconstructs a strictly increasing
-// sequence by construction or fails.
-func appendItemset(b []byte, s itemset.Itemset) []byte {
-	items := s.Items()
-	b = binary.AppendUvarint(b, uint64(len(items)))
-	prev := int64(-1)
-	for _, it := range items {
-		b = binary.AppendUvarint(b, uint64(int64(it)-prev-1))
-		prev = int64(it)
+// readMeta reads the fields appendMeta wrote, in the same order: Go
+// evaluates the calls in a composite literal left to right.
+func readMeta(r *frame.Reader) Meta {
+	return Meta{
+		WindowSize:   r.Int("window size", 0, math.MaxInt32),
+		Epsilon:      math.Float64frombits(r.Uint64()),
+		Delta:        math.Float64frombits(r.Uint64()),
+		MinSupport:   r.Int("min support", 0, math.MaxInt32),
+		VulnSupport:  r.Int("vulnerable support", 0, math.MaxInt32),
+		Seed:         r.Uint64(),
+		Scheme:       string(r.Bytes("scheme name")),
+		ClosedOnly:   readBool(r),
+		Raw:          readBool(r),
+		Chunked:      readBool(r),
+		PublishEvery: r.Int("publish interval", 0, math.MaxInt32),
 	}
-	return b
-}
-
-func appendPublisher(b []byte, st *core.PublisherState) []byte {
-	b = binary.AppendVarint(b, int64(st.Window))
-	b = binary.LittleEndian.AppendUint64(b, st.RNG)
-	b = binary.AppendVarint(b, int64(st.BiasReuses))
-	b = binary.AppendUvarint(b, uint64(len(st.Ladder)))
-	for _, r := range st.Ladder {
-		b = binary.AppendVarint(b, int64(r.Support))
-		b = binary.AppendVarint(b, int64(r.Size))
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.Biases)))
-	for _, bias := range st.Biases {
-		b = binary.AppendVarint(b, int64(bias))
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.Cache)))
-	for _, e := range st.Cache {
-		b = appendString(b, e.Key)
-		b = binary.AppendVarint(b, int64(e.TrueSupport))
-		b = binary.AppendVarint(b, int64(e.Sanitized))
-		b = binary.AppendVarint(b, int64(e.LastSeen))
-	}
-	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -262,236 +222,90 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// ---- decoding helpers ----
-
-// reader is a panic-free cursor over the payload. Every length and count is
-// validated against the remaining byte budget BEFORE allocation, so a
-// fabricated header cannot make Decode allocate gigabytes.
-type reader struct {
-	b   []byte
-	off int
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated uvarint at offset %d", ErrCorrupt, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint at offset %d", ErrCorrupt, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// vint decodes a varint that must fit a non-negative int.
-func (r *reader) vint(what string) (int, error) {
-	v, err := r.varint()
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: %s %d out of range", ErrCorrupt, what, v)
-	}
-	return int(v), nil
-}
-
-// count decodes an element count, rejecting any value larger than the
-// remaining payload (every element takes at least one byte).
-func (r *reader) count(what string) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(r.remaining()) {
-		return 0, fmt.Errorf("%w: %s count %d exceeds %d remaining bytes",
-			ErrCorrupt, what, v, r.remaining())
-	}
-	return int(v), nil
-}
-
-func (r *reader) uint32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, fmt.Errorf("%w: truncated u32 at offset %d", ErrCorrupt, r.off)
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) uint64() (uint64, error) {
-	if r.remaining() < 8 {
-		return 0, fmt.Errorf("%w: truncated u64 at offset %d", ErrCorrupt, r.off)
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *reader) float64() (float64, error) {
-	v, err := r.uint64()
-	return math.Float64frombits(v), err
-}
-
-func (r *reader) str(what string) (string, error) {
-	n, err := r.count(what)
-	if err != nil {
-		return "", err
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s, nil
-}
-
-func (r *reader) bool() (bool, error) {
-	if r.remaining() < 1 {
-		return false, fmt.Errorf("%w: truncated bool at offset %d", ErrCorrupt, r.off)
-	}
-	v := r.b[r.off]
-	r.off++
+func readBool(r *frame.Reader) bool {
+	v := r.Byte()
 	if v > 1 {
-		return false, fmt.Errorf("%w: bool byte %d", ErrCorrupt, v)
+		r.Fail("bool byte %d", v)
 	}
-	return v == 1, nil
+	return v == 1
 }
 
-func (r *reader) meta() (Meta, error) {
-	var m Meta
-	var err error
-	if m.WindowSize, err = r.vint("window size"); err != nil {
-		return m, err
+// appendRecords writes a record list: its length, then each record as a
+// delta-encoded itemset.
+func appendRecords(b []byte, recs []itemset.Itemset) []byte {
+	b = binary.AppendUvarint(b, uint64(len(recs)))
+	for _, rec := range recs {
+		b = frame.AppendItems(b, rec.Items())
 	}
-	if m.Epsilon, err = r.float64(); err != nil {
-		return m, err
-	}
-	if m.Delta, err = r.float64(); err != nil {
-		return m, err
-	}
-	if m.MinSupport, err = r.vint("min support"); err != nil {
-		return m, err
-	}
-	if m.VulnSupport, err = r.vint("vulnerable support"); err != nil {
-		return m, err
-	}
-	if m.Seed, err = r.uint64(); err != nil {
-		return m, err
-	}
-	if m.Scheme, err = r.str("scheme name"); err != nil {
-		return m, err
-	}
-	if m.ClosedOnly, err = r.bool(); err != nil {
-		return m, err
-	}
-	if m.Raw, err = r.bool(); err != nil {
-		return m, err
-	}
-	if m.Chunked, err = r.bool(); err != nil {
-		return m, err
-	}
-	if m.PublishEvery, err = r.vint("publish interval"); err != nil {
-		return m, err
-	}
-	return m, nil
+	return b
 }
 
-func (r *reader) itemset() (itemset.Itemset, error) {
-	n, err := r.count("itemset items")
-	if err != nil {
-		return itemset.Itemset{}, err
+func readRecords(r *frame.Reader, what string) []itemset.Itemset {
+	recs := make([]itemset.Itemset, r.Count(what))
+	for i := range recs {
+		// ReadItems yields a strictly increasing list, the FromSorted
+		// precondition, by construction.
+		recs[i] = itemset.FromSorted(frame.ReadItems[itemset.Item](r, true))
 	}
-	items := make([]itemset.Item, n)
-	prev := int64(-1)
-	for i := range items {
-		gap, err := r.uvarint()
-		if err != nil {
-			return itemset.Itemset{}, err
-		}
-		v := prev + 1 + int64(gap)
-		if v > math.MaxInt32 {
-			return itemset.Itemset{}, fmt.Errorf("%w: item id %d overflows", ErrCorrupt, v)
-		}
-		items[i] = itemset.Item(v)
-		prev = v
-	}
-	// The delta decoding above yields a strictly increasing sequence, the
-	// FromSorted precondition, by construction.
-	return itemset.FromSorted(items), nil
+	return recs
 }
 
-func (r *reader) publisher(st *core.PublisherState) error {
-	var err error
-	if st.Window, err = r.vint("publisher window counter"); err != nil {
-		return err
+// appendMemo writes the publisher's scalars and incremental-bias memo.
+func appendMemo(b []byte, window int, rng uint64, reuses int, ladder []core.LadderRung, biases []int) []byte {
+	b = binary.AppendVarint(b, int64(window))
+	b = binary.LittleEndian.AppendUint64(b, rng)
+	b = binary.AppendVarint(b, int64(reuses))
+	b = binary.AppendUvarint(b, uint64(len(ladder)))
+	for _, r := range ladder {
+		b = binary.AppendVarint(b, int64(r.Support))
+		b = binary.AppendVarint(b, int64(r.Size))
 	}
-	if st.RNG, err = r.uint64(); err != nil {
-		return err
+	b = binary.AppendUvarint(b, uint64(len(biases)))
+	for _, bias := range biases {
+		b = binary.AppendVarint(b, int64(bias))
 	}
-	if st.BiasReuses, err = r.vint("bias reuse counter"); err != nil {
-		return err
+	return b
+}
+
+func readMemo(r *frame.Reader) (window int, rng uint64, reuses int, ladder []core.LadderRung, biases []int) {
+	window = r.Int("publisher window counter", 0, math.MaxInt32)
+	rng = r.Uint64()
+	reuses = r.Int("bias reuse counter", 0, math.MaxInt32)
+	ladder = make([]core.LadderRung, r.Count("ladder rungs"))
+	for i := range ladder {
+		ladder[i].Support = r.Int("rung support", 0, math.MaxInt32)
+		ladder[i].Size = r.Int("rung size", 0, math.MaxInt32)
 	}
-	rungs, err := r.count("ladder rungs")
-	if err != nil {
-		return err
+	if biases = make([]int, r.Count("biases")); len(biases) != len(ladder) {
+		r.Fail("%d biases for %d ladder rungs", len(biases), len(ladder))
 	}
-	st.Ladder = make([]core.LadderRung, rungs)
-	for i := range st.Ladder {
-		if st.Ladder[i].Support, err = r.vint("rung support"); err != nil {
-			return err
-		}
-		if st.Ladder[i].Size, err = r.vint("rung size"); err != nil {
-			return err
-		}
+	for i := range biases {
+		biases[i] = r.Int("bias", math.MinInt32, math.MaxInt32)
 	}
-	biases, err := r.count("biases")
-	if err != nil {
-		return err
+	return window, rng, reuses, ladder, biases
+}
+
+// appendEntries writes a republication-cache entry list.
+func appendEntries(b []byte, es []core.CacheEntry) []byte {
+	b = binary.AppendUvarint(b, uint64(len(es)))
+	for _, e := range es {
+		b = frame.AppendString(b, e.Key)
+		b = binary.AppendVarint(b, int64(e.TrueSupport))
+		b = binary.AppendVarint(b, int64(e.Sanitized))
+		b = binary.AppendVarint(b, int64(e.LastSeen))
 	}
-	st.Biases = make([]int, biases)
-	for i := range st.Biases {
-		v, err := r.varint()
-		if err != nil {
-			return err
-		}
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			return fmt.Errorf("%w: bias %d out of range", ErrCorrupt, v)
-		}
-		st.Biases[i] = int(v)
-	}
-	if len(st.Biases) != len(st.Ladder) {
-		return fmt.Errorf("%w: %d biases for %d ladder rungs", ErrCorrupt, len(st.Biases), len(st.Ladder))
-	}
-	entries, err := r.count("cache entries")
-	if err != nil {
-		return err
-	}
-	st.Cache = make([]core.CacheEntry, entries)
-	for i := range st.Cache {
-		e := &st.Cache[i]
-		if e.Key, err = r.str("cache key"); err != nil {
-			return err
-		}
-		if e.TrueSupport, err = r.vint("cached true support"); err != nil {
-			return err
-		}
-		v, err := r.varint()
-		if err != nil {
-			return err
-		}
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			return fmt.Errorf("%w: sanitized support %d out of range", ErrCorrupt, v)
-		}
-		e.Sanitized = int(v)
-		if e.LastSeen, err = r.vint("cache last-seen window"); err != nil {
-			return err
+	return b
+}
+
+func readEntries(r *frame.Reader, what string) []core.CacheEntry {
+	es := make([]core.CacheEntry, r.Count(what))
+	for i := range es {
+		es[i] = core.CacheEntry{
+			Key:         string(r.Bytes("cache key")),
+			TrueSupport: r.Int("cached true support", 0, math.MaxInt32),
+			Sanitized:   r.Int("sanitized support", math.MinInt32, math.MaxInt32),
+			LastSeen:    r.Int("cache last-seen window", 0, math.MaxInt32),
 		}
 	}
-	return nil
+	return es
 }

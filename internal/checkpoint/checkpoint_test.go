@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -161,6 +163,36 @@ func TestDecodeRejectsHugeCounts(t *testing.T) {
 	bogus = binary.LittleEndian.AppendUint32(bogus, crc32.ChecksumIEEE(bogus))
 	if _, err := checkpoint.Decode(bogus); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("huge count: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeRejectsWrappingItemGap: a checksum-valid snapshot whose item gap
+// wraps round past 2^63 is corrupt, not a panic or a negative item id — and
+// a store skips it like any corrupt generation instead of crashing at boot.
+func TestDecodeRejectsWrappingItemGap(t *testing.T) {
+	bad := wrapGapSnapshots(t)
+	for i, b := range bad {
+		if s, err := checkpoint.Decode(b); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("snapshot %d: %+v, %v; want ErrCorrupt", i, s, err)
+		}
+	}
+	dir := t.TempDir()
+	st, err := checkpoint.NewStore(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warnings int
+	st.Logf = func(string, ...any) { warnings++ }
+	if err := st.Save(snapshotAt(t, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-0000000000000020.bfck"), bad[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := st.Latest()
+	if err != nil || s == nil || s.Records != 10 || warnings != 1 {
+		t.Fatalf("Latest past a wrapping-gap generation = %+v, %v with %d warnings; want records 10 and one warning",
+			s, err, warnings)
 	}
 }
 

@@ -22,7 +22,7 @@ package checkpoint
 //	uint32 LE anchor CRC | frame*
 //
 // where the anchor CRC is CRC32(IEEE) over the anchor file's complete bytes,
-// and each frame is:
+// and each frame is an internal/frame frame, with no length bound:
 //
 //	uint32 LE payload len | uint32 LE CRC32(payload) | payload
 //
@@ -35,11 +35,12 @@ package checkpoint
 // progress after the newest valid frame, never the chain before it.
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/itemset"
 )
 
@@ -80,6 +81,11 @@ type Delta struct {
 // of the chain predecessor (the anchor file's bytes, or the previous frame's
 // payload), embedded so recovery can verify the link.
 func EncodeDelta(d *Delta, parentCRC uint32) ([]byte, error) {
+	return appendDelta(nil, d, parentCRC)
+}
+
+// appendDelta appends d's frame payload to b; b is untouched on error.
+func appendDelta(b []byte, d *Delta, parentCRC uint32) ([]byte, error) {
 	if d == nil {
 		return nil, fmt.Errorf("checkpoint: nil delta")
 	}
@@ -93,41 +99,20 @@ func EncodeDelta(d *Delta, parentCRC uint32) ([]byte, error) {
 	if !sortedStrictCache(p.Upserts) {
 		return nil, fmt.Errorf("checkpoint: delta upserts not strictly sorted by key")
 	}
-	if !sort.StringsAreSorted(p.Evicted) || hasDupStrings(p.Evicted) {
+	if !sortedStrict(p.Evicted) {
 		return nil, fmt.Errorf("checkpoint: delta evictions not strictly sorted")
 	}
-	var b []byte
 	b = binary.AppendUvarint(b, d.ParentRecords)
 	b = binary.LittleEndian.AppendUint32(b, parentCRC)
 	b = binary.AppendUvarint(b, d.Records)
 	b = binary.AppendUvarint(b, d.BadRecords)
 	b = binary.AppendUvarint(b, d.Published)
-	b = binary.AppendUvarint(b, uint64(len(d.Appended)))
-	for _, rec := range d.Appended {
-		b = appendItemset(b, rec)
-	}
-	b = binary.AppendVarint(b, int64(p.Window))
-	b = binary.LittleEndian.AppendUint64(b, p.RNG)
-	b = binary.AppendVarint(b, int64(p.BiasReuses))
-	b = binary.AppendUvarint(b, uint64(len(p.Ladder)))
-	for _, r := range p.Ladder {
-		b = binary.AppendVarint(b, int64(r.Support))
-		b = binary.AppendVarint(b, int64(r.Size))
-	}
-	b = binary.AppendUvarint(b, uint64(len(p.Biases)))
-	for _, bias := range p.Biases {
-		b = binary.AppendVarint(b, int64(bias))
-	}
-	b = binary.AppendUvarint(b, uint64(len(p.Upserts)))
-	for _, e := range p.Upserts {
-		b = appendString(b, e.Key)
-		b = binary.AppendVarint(b, int64(e.TrueSupport))
-		b = binary.AppendVarint(b, int64(e.Sanitized))
-		b = binary.AppendVarint(b, int64(e.LastSeen))
-	}
+	b = appendRecords(b, d.Appended)
+	b = appendMemo(b, p.Window, p.RNG, p.BiasReuses, p.Ladder, p.Biases)
+	b = appendEntries(b, p.Upserts)
 	b = binary.AppendUvarint(b, uint64(len(p.Evicted)))
 	for _, k := range p.Evicted {
-		b = appendString(b, k)
+		b = frame.AppendString(b, k)
 	}
 	return b, nil
 }
@@ -137,122 +122,29 @@ func EncodeDelta(d *Delta, parentCRC uint32) ([]byte, error) {
 // error wrapping ErrCorrupt. The decoded form is canonical — re-encoding it
 // with the returned parent CRC reproduces the input bytes.
 func DecodeDelta(payload []byte) (*Delta, uint32, error) {
-	r := &reader{b: payload}
-	d := &Delta{}
-	var err error
-	if d.ParentRecords, err = r.uvarint(); err != nil {
-		return nil, 0, err
+	r := frame.NewReader(payload, ErrCorrupt)
+	d := &Delta{ParentRecords: r.Uvarint()}
+	parentCRC := r.Uint32()
+	if d.Records = r.Uvarint(); d.Records <= d.ParentRecords {
+		r.Fail("delta records %d not past parent %d", d.Records, d.ParentRecords)
 	}
-	var parentCRC uint32
-	if parentCRC, err = r.uint32(); err != nil {
-		return nil, 0, err
-	}
-	if d.Records, err = r.uvarint(); err != nil {
-		return nil, 0, err
-	}
-	if d.Records <= d.ParentRecords {
-		return nil, 0, fmt.Errorf("%w: delta records %d not past parent %d", ErrCorrupt, d.Records, d.ParentRecords)
-	}
-	if d.BadRecords, err = r.uvarint(); err != nil {
-		return nil, 0, err
-	}
-	if d.Published, err = r.uvarint(); err != nil {
-		return nil, 0, err
-	}
-	n, err := r.count("appended records")
-	if err != nil {
-		return nil, 0, err
-	}
-	d.Appended = make([]itemset.Itemset, n)
-	for i := range d.Appended {
-		if d.Appended[i], err = r.itemset(); err != nil {
-			return nil, 0, err
-		}
-	}
+	d.BadRecords = r.Uvarint()
+	d.Published = r.Uvarint()
+	d.Appended = readRecords(r, "appended records")
 	p := &d.Publisher
-	if p.Window, err = r.vint("publisher window counter"); err != nil {
-		return nil, 0, err
+	p.Window, p.RNG, p.BiasReuses, p.Ladder, p.Biases = readMemo(r)
+	if p.Upserts = readEntries(r, "cache upserts"); !sortedStrictCache(p.Upserts) {
+		r.Fail("upsert keys not strictly sorted")
 	}
-	if p.RNG, err = r.uint64(); err != nil {
-		return nil, 0, err
-	}
-	if p.BiasReuses, err = r.vint("bias reuse counter"); err != nil {
-		return nil, 0, err
-	}
-	rungs, err := r.count("ladder rungs")
-	if err != nil {
-		return nil, 0, err
-	}
-	p.Ladder = make([]core.LadderRung, rungs)
-	for i := range p.Ladder {
-		if p.Ladder[i].Support, err = r.vint("rung support"); err != nil {
-			return nil, 0, err
-		}
-		if p.Ladder[i].Size, err = r.vint("rung size"); err != nil {
-			return nil, 0, err
-		}
-	}
-	biases, err := r.count("biases")
-	if err != nil {
-		return nil, 0, err
-	}
-	if biases != rungs {
-		return nil, 0, fmt.Errorf("%w: %d biases for %d ladder rungs", ErrCorrupt, biases, rungs)
-	}
-	p.Biases = make([]int, biases)
-	for i := range p.Biases {
-		v, err := r.varint()
-		if err != nil {
-			return nil, 0, err
-		}
-		if v < -1<<31 || v > 1<<31-1 {
-			return nil, 0, fmt.Errorf("%w: bias %d out of range", ErrCorrupt, v)
-		}
-		p.Biases[i] = int(v)
-	}
-	ups, err := r.count("cache upserts")
-	if err != nil {
-		return nil, 0, err
-	}
-	p.Upserts = make([]core.CacheEntry, ups)
-	for i := range p.Upserts {
-		e := &p.Upserts[i]
-		if e.Key, err = r.str("upsert key"); err != nil {
-			return nil, 0, err
-		}
-		if i > 0 && p.Upserts[i-1].Key >= e.Key {
-			return nil, 0, fmt.Errorf("%w: upsert keys not strictly sorted", ErrCorrupt)
-		}
-		if e.TrueSupport, err = r.vint("upsert true support"); err != nil {
-			return nil, 0, err
-		}
-		v, err := r.varint()
-		if err != nil {
-			return nil, 0, err
-		}
-		if v < -1<<31 || v > 1<<31-1 {
-			return nil, 0, fmt.Errorf("%w: sanitized support %d out of range", ErrCorrupt, v)
-		}
-		e.Sanitized = int(v)
-		if e.LastSeen, err = r.vint("upsert last-seen window"); err != nil {
-			return nil, 0, err
-		}
-	}
-	ev, err := r.count("cache evictions")
-	if err != nil {
-		return nil, 0, err
-	}
-	p.Evicted = make([]string, ev)
+	p.Evicted = make([]string, r.Count("cache evictions"))
 	for i := range p.Evicted {
-		if p.Evicted[i], err = r.str("evicted key"); err != nil {
-			return nil, 0, err
-		}
-		if i > 0 && p.Evicted[i-1] >= p.Evicted[i] {
-			return nil, 0, fmt.Errorf("%w: evicted keys not strictly sorted", ErrCorrupt)
-		}
+		p.Evicted[i] = string(r.Bytes("evicted key"))
 	}
-	if r.remaining() != 0 {
-		return nil, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, r.remaining())
+	if !sortedStrict(p.Evicted) {
+		r.Fail("evicted keys not strictly sorted")
+	}
+	if err := r.Done(); err != nil {
+		return nil, 0, err
 	}
 	return d, parentCRC, nil
 }
@@ -332,13 +224,6 @@ func appendSegmentHeader(b []byte, anchorRecords uint64, anchorCRC uint32) []byt
 	return binary.LittleEndian.AppendUint32(b, anchorCRC)
 }
 
-// appendDeltaFrame appends one CRC-framed payload.
-func appendDeltaFrame(b, payload []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
-}
-
 // ApplyChain replays a delta segment onto its anchor snapshot s, whose
 // record position must be anchorRecords and whose file bytes must hash to
 // anchorCRC. It returns the number of frames applied. Damage — a torn tail,
@@ -380,19 +265,13 @@ func ApplyChain(s *Snapshot, seg []byte, anchorRecords uint64, anchorCRC uint32,
 	lastCRC := anchorCRC
 	applied := 0
 	for len(rest) > 0 {
-		if len(rest) < 8 {
-			warn("torn frame header after %d applied frame(s)", applied)
+		payload, sum, n, err := frame.Split(rest, 0, ErrCorrupt)
+		if errors.Is(err, frame.ErrTorn) {
+			warn("torn frame after %d applied frame(s): %v", applied, err)
 			return applied
 		}
-		n := binary.LittleEndian.Uint32(rest)
-		sum := binary.LittleEndian.Uint32(rest[4:])
-		if uint64(n) > uint64(len(rest)-8) {
-			warn("torn frame after %d applied frame(s): %d-byte payload, %d bytes left", applied, n, len(rest)-8)
-			return applied
-		}
-		payload := rest[8 : 8+n]
-		if got := crc32.ChecksumIEEE(payload); got != sum {
-			warn("frame %d checksum %08x, want %08x; keeping %d-frame prefix", applied+1, got, sum, applied)
+		if err != nil {
+			warn("frame %d: %v; keeping %d-frame prefix", applied+1, err, applied)
 			return applied
 		}
 		d, parentCRC, err := DecodeDelta(payload)
@@ -411,7 +290,7 @@ func ApplyChain(s *Snapshot, seg []byte, anchorRecords uint64, anchorCRC uint32,
 		}
 		lastCRC = sum
 		applied++
-		rest = rest[8+n:]
+		rest = rest[n:]
 	}
 	return applied
 }
@@ -425,11 +304,12 @@ func sortedStrictCache(es []core.CacheEntry) bool {
 	return true
 }
 
-func hasDupStrings(ss []string) bool {
-	for i := 1; i < len(ss); i++ {
-		if ss[i-1] == ss[i] {
-			return true
+// sortedStrict reports whether keys is sorted with no duplicates.
+func sortedStrict(keys []string) bool {
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			return false
 		}
 	}
-	return false
+	return true
 }

@@ -120,6 +120,17 @@ func TestDecodeDeltaRejectsEveryTruncation(t *testing.T) {
 	}
 }
 
+// TestDecodeDeltaRejectsWrappingItemGap: a delta whose appended record has an
+// item gap wrapping round past 2^63 is corrupt, not a panic or a record
+// with a negative item id.
+func TestDecodeDeltaRejectsWrappingItemGap(t *testing.T) {
+	for i, p := range wrapGapDeltas(t) {
+		if d, _, err := checkpoint.DecodeDelta(p); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("payload %d: %+v, %v; want ErrCorrupt", i, d, err)
+		}
+	}
+}
+
 // TestEncodeDeltaRejectsMalformed: the encoder refuses deltas that violate
 // the canonical-form invariants rather than writing bytes the decoder would
 // reject.

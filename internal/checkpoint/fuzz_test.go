@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/itemset"
 )
 
 // FuzzCheckpointDecode pins the decoder's safety contract: whatever the
@@ -42,6 +44,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 	crossed := append([]byte(nil), seg...)
 	crossed[20] ^= 0xFF // anchor-CRC field of the segment header
 	f.Add(crossed)
+	for _, b := range wrapGapSnapshots(f) {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := checkpoint.Decode(data)
@@ -119,6 +124,9 @@ func FuzzCheckpointDeltaChain(f *testing.F) {
 	f.Add(crossed)
 	f.Add([]byte("BFLYCKD2"))
 	f.Add([]byte{})
+	for _, p := range wrapGapDeltas(f) {
+		f.Add(p)
+	}
 
 	anchorBytes, err := checkpoint.Encode(testSnapshot(f))
 	if err != nil {
@@ -158,6 +166,60 @@ func FuzzCheckpointDeltaChain(f *testing.F) {
 			t.Fatalf("delta decode/encode not canonical: %d bytes in, %d out", len(data), len(re))
 		}
 	})
+}
+
+// spliceGap returns a with its first byte that differs from b — an item gap
+// byte, when the two encode itemsets that differ only in one gap — replaced
+// by gap's uvarint.
+func spliceGap(a, b []byte, gap uint64) []byte {
+	i := 0
+	for a[i] == b[i] {
+		i++
+	}
+	out := append([]byte(nil), a[:i]...)
+	out = binary.AppendUvarint(out, gap)
+	return append(out, a[i+1:]...)
+}
+
+// wrapGapSnapshots returns checksum-valid v1 snapshots whose one window
+// record has uvarint item gaps past 2^63, so adding them in int64 wraps
+// round: gaps 5, 2^64−1 step back onto item 5, and a lone 2^64−42 lands on
+// id −42. Both must be corrupt.
+func wrapGapSnapshots(tb testing.TB) [][]byte {
+	body := func(items ...itemset.Item) []byte {
+		s := testSnapshot(tb)
+		s.Window = []itemset.Itemset{itemset.New(items...)}
+		enc, err := checkpoint.Encode(s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return enc[:len(enc)-4]
+	}
+	seal := func(b []byte) []byte {
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	}
+	return [][]byte{
+		seal(spliceGap(body(5, 6), body(5, 7), math.MaxUint64)),
+		seal(spliceGap(body(0), body(1), math.MaxUint64-41)),
+	}
+}
+
+// wrapGapDeltas returns the delta frame payloads with the same two appended
+// records as wrapGapSnapshots.
+func wrapGapDeltas(tb testing.TB) [][]byte {
+	payload := func(items ...itemset.Item) []byte {
+		d := testDelta(tb, testSnapshot(tb), 10, 1)
+		d.Appended = []itemset.Itemset{itemset.New(items...)}
+		p, err := checkpoint.EncodeDelta(d, 7)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return p
+	}
+	return [][]byte{
+		spliceGap(payload(5, 6), payload(5, 7), math.MaxUint64),
+		spliceGap(payload(0), payload(1), math.MaxUint64-41),
+	}
 }
 
 func mustEncode(t *testing.T, s *checkpoint.Snapshot) []byte {

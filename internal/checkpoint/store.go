@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -9,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // Crash points of the write protocol, consulted through Store.CrashHook so
@@ -115,7 +116,25 @@ type Store struct {
 	chain         chainState
 	frameBuf      []byte // reusable append buffer for header+frame bytes
 	lastSaveBytes int
+	stats         IOStats
 }
+
+// IOStats counts the disk work a Store has issued since NewStore. Every
+// count is decided by the code — how many generations are full, how often a
+// chain is synced — not by the disk, so equal runs count equal work.
+type IOStats struct {
+	// DataSyncs counts fdatasync calls: one per full snapshot written, and
+	// one per delta chain tail synced when it is superseded or closed.
+	DataSyncs int
+	// DirSyncs counts directory fsyncs: one per full snapshot published and
+	// one per chain segment created.
+	DirSyncs int
+	// Bytes counts the snapshot and chain-segment bytes written.
+	Bytes int64
+}
+
+// IOStats returns the disk work the store has issued so far.
+func (st *Store) IOStats() IOStats { return st.stats }
 
 // NewStore opens (creating if needed) a checkpoint directory retaining the
 // last keep generations; keep <= 0 selects DefaultKeep.
@@ -167,13 +186,13 @@ func (st *Store) Save(s *Snapshot) error {
 	if st.crash(CrashTornWrite) {
 		// Simulated non-atomic filesystem: half a snapshot lands under the
 		// final name. Recovery must catch it by checksum.
-		if err := writeFileSync(final, data[:len(data)/2]); err != nil {
+		if err := st.writeFileSync(final, data[:len(data)/2]); err != nil {
 			return err
 		}
 		return fmt.Errorf("%w: at %s", ErrInjectedCrash, CrashTornWrite)
 	}
 	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := st.writeFileSync(tmp, data); err != nil {
 		return err
 	}
 	if st.crash(CrashBeforeRename) {
@@ -182,7 +201,7 @@ func (st *Store) Save(s *Snapshot) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("checkpoint: publishing snapshot: %w", err)
 	}
-	syncDir(st.dir)
+	st.syncDir()
 	// The fresh full anchors a fresh, empty chain. A re-saved full at a
 	// position an older incarnation also checkpointed may have left a stale
 	// chain segment beside it; appending to it would splice two runs, so it
@@ -239,17 +258,17 @@ func (st *Store) AppendDelta(d *Delta) error {
 		return fmt.Errorf("checkpoint: delta parent %d does not extend chain tip %d",
 			d.ParentRecords, st.chain.lastRecords)
 	}
-	payload, err := EncodeDelta(d, st.chain.lastCRC)
-	if err != nil {
-		return err
-	}
 	buf := st.frameBuf[:0]
 	created := st.chain.f == nil
 	if created {
 		buf = appendSegmentHeader(buf, st.chain.anchor, st.chain.anchorCRC)
 	}
 	frameStart := len(buf)
-	buf = appendDeltaFrame(buf, payload)
+	buf, err := appendDelta(frame.Begin(buf), d, st.chain.lastCRC)
+	if err != nil {
+		return err
+	}
+	sum := frame.Seal(buf, frameStart)
 	st.frameBuf = buf
 	if created {
 		f, err := os.OpenFile(st.chain.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -263,18 +282,19 @@ func (st *Store) AppendDelta(d *Delta) error {
 		// the disk. Recovery must keep the frames before it.
 		torn := buf[:frameStart+(len(buf)-frameStart)/2]
 		st.chain.f.Write(torn)
-		datasync(st.chain.f)
+		st.datasync(st.chain.f)
 		st.closeChain()
 		return fmt.Errorf("%w: at %s", ErrInjectedCrash, CrashTornDelta)
 	}
 	if _, err := st.chain.f.Write(buf); err != nil {
 		return fmt.Errorf("checkpoint: appending to %s: %w", st.chain.path, err)
 	}
+	st.stats.Bytes += int64(len(buf))
 	st.chain.dirty = true
 	if created {
-		syncDir(st.dir)
+		st.syncDir()
 	}
-	st.chain.lastCRC = binary.LittleEndian.Uint32(buf[frameStart+4:])
+	st.chain.lastCRC = sum
 	st.chain.lastRecords = d.Records
 	st.chain.frames++
 	st.lastSaveBytes = len(buf)
@@ -306,7 +326,7 @@ func (st *Store) closeChain() error {
 	var err error
 	if st.chain.f != nil {
 		if st.chain.dirty {
-			err = datasync(st.chain.f)
+			err = st.datasync(st.chain.f)
 		}
 		if cerr := st.chain.f.Close(); err == nil {
 			err = cerr
@@ -352,7 +372,7 @@ func AtomicWrite(path string, data []byte) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("checkpoint: publishing %s: %w", path, err)
 	}
-	syncDir(filepath.Dir(path))
+	frame.SyncDir(filepath.Dir(path))
 	return nil
 }
 
@@ -379,14 +399,26 @@ func writeFileSync(path string, data []byte) error {
 	return nil
 }
 
-// syncDir best-effort fsyncs a directory so the rename itself is durable.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
+// writeFileSync, datasync and syncDir issue the store's disk work and count
+// it in IOStats.
+
+func (st *Store) writeFileSync(path string, data []byte) error {
+	if err := writeFileSync(path, data); err != nil {
+		return err
 	}
-	d.Sync()
-	d.Close()
+	st.stats.DataSyncs++
+	st.stats.Bytes += int64(len(data))
+	return nil
+}
+
+func (st *Store) datasync(f *os.File) error {
+	st.stats.DataSyncs++
+	return datasync(f)
+}
+
+func (st *Store) syncDir() {
+	st.stats.DirSyncs++
+	frame.SyncDir(st.dir)
 }
 
 // Generations returns the generation files present, oldest first (lexical

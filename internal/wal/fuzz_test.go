@@ -116,6 +116,23 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
+// wrapGapPayloads are good-record payloads whose uvarint item gaps exceed
+// 2^63, so adding them in int64 wraps round: gaps 5, 2^64−1 step back onto
+// item 5, and a lone 2^64−42 lands on id −42. Both must be corrupt.
+func wrapGapPayloads() [][]byte {
+	payload := func(gaps ...uint64) []byte {
+		b := binary.AppendUvarint(nil, 1) // line
+		b = append(b, kindGood)
+		b = binary.AppendUvarint(b, 1) // seq
+		b = binary.AppendUvarint(b, uint64(len(gaps)))
+		for _, g := range gaps {
+			b = binary.AppendUvarint(b, g)
+		}
+		return b
+	}
+	return [][]byte{payload(5, math.MaxUint64), payload(math.MaxUint64 - 41)}
+}
+
 // FuzzWALPayload targets the payload codec alone, under the frame checksum
 // (which the frame scanner would normally reject mismatches with).
 func FuzzWALPayload(f *testing.F) {
@@ -123,6 +140,9 @@ func FuzzWALPayload(f *testing.F) {
 	f.Add(appendRecord(nil, badRec(1, 0)))
 	f.Add([]byte{1, 0})
 	f.Add([]byte{1, 2, 0})
+	for _, p := range wrapGapPayloads() {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := decodePayload(payload, true)
 		if err != nil {

@@ -24,6 +24,9 @@
 //	  good: uvarint item count | uvarint delta-encoded items
 //	  bad:  varint parse line | string token | string reason
 //
+// with the frame, the delta-encoded items and the strings encoded by
+// internal/frame, the same codec the checkpoint store uses.
+//
 // Lines are the stream's cumulative accepted-line coordinates (good + bad),
 // strictly sequential across frames and segments; seq is the count of
 // well-formed records up to and including the frame (a bad frame carries
@@ -38,7 +41,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -48,6 +50,7 @@ import (
 	"sync"
 
 	"repro/internal/data"
+	"repro/internal/frame"
 	"repro/internal/itemset"
 	"repro/internal/telemetry"
 )
@@ -57,10 +60,6 @@ const (
 	segHeader = len(segMagic) + 8 // magic + uint64 base line
 	segFormat = "wal-%016d.seg"
 	segGlob   = "wal-*.seg"
-
-	// frameOverhead is the fixed prefix of every frame: payload length and
-	// payload checksum.
-	frameOverhead = 8
 
 	// MaxFrame bounds one frame's payload. A record is one ingest line, so
 	// anything near this is corruption, not data; the decoder refuses larger
@@ -99,13 +98,10 @@ const (
 // ErrInjectedCrash is returned by Sync when the CrashHook fired.
 var ErrInjectedCrash = errors.New("wal: injected crash")
 
-// ErrCorrupt marks bytes that failed structural validation.
+// ErrCorrupt marks bytes that failed structural validation. An incomplete
+// trailing frame wraps frame.ErrTorn instead, only to label the recovery
+// outcome: both recover to the longest valid prefix.
 var ErrCorrupt = errors.New("wal: corrupt frame")
-
-// errTorn marks an incomplete trailing frame — fewer bytes than its header
-// promises. Distinguished from ErrCorrupt only to label the recovery
-// outcome; both recover to the longest valid prefix.
-var errTorn = errors.New("wal: torn trailing frame")
 
 // Recovery outcome labels (the butterfly_server_wal_recoveries_total label
 // values).
@@ -302,7 +298,7 @@ func (l *Log) recover() (Report, error) {
 			// The segment is unusable from byte zero: drop it and everything
 			// after it. A header too short on the final segment is a torn
 			// rotation; anything else is corruption.
-			if i == len(paths)-1 && errors.Is(herr, errTorn) {
+			if i == len(paths)-1 && errors.Is(herr, frame.ErrTorn) {
 				rep.Outcome = OutcomeTornTail
 			} else {
 				rep.Outcome = OutcomeCorrupt
@@ -317,7 +313,7 @@ func (l *Log) recover() (Report, error) {
 				}
 				rep.DroppedSegments++
 			}
-			syncDir(l.dir)
+			frame.SyncDir(l.dir)
 			break
 		}
 		_, goodLen, serr := scanFrames(buf[segHeader:], prev, 0, 0, func(r Record) {
@@ -336,7 +332,7 @@ func (l *Log) recover() (Report, error) {
 		keep := int64(segHeader + goodLen)
 		dropped := int64(len(buf)) - keep
 		final := i == len(paths)-1
-		if final && errors.Is(serr, errTorn) {
+		if final && errors.Is(serr, frame.ErrTorn) {
 			rep.Outcome = OutcomeTornTail
 		} else {
 			rep.Outcome = OutcomeCorrupt
@@ -359,7 +355,7 @@ func (l *Log) recover() (Report, error) {
 			}
 			rep.DroppedSegments++
 		}
-		syncDir(l.dir)
+		frame.SyncDir(l.dir)
 		l.segs = append(l.segs, segment{base: base, path: path})
 		break
 	}
@@ -392,7 +388,7 @@ func (l *Log) recover() (Report, error) {
 // line.
 func checkSegHeader(path string, buf []byte) (uint64, error) {
 	if len(buf) < segHeader {
-		return 0, fmt.Errorf("%w: %d-byte segment header", errTorn, len(buf))
+		return 0, fmt.Errorf("%w: %d-byte segment header", frame.ErrTorn, len(buf))
 	}
 	if string(buf[:len(segMagic)]) != segMagic {
 		return 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
@@ -419,12 +415,16 @@ func checkSegHeader(path string, buf []byte) (uint64, error) {
 func scanFrames(b []byte, prev, from, to uint64, fn func(Record)) (frames, goodLen int, err error) {
 	off := 0
 	for off < len(b) {
-		rec, n, err := decodeFrame(b[off:], prev+1 > from && prev+1 <= to)
+		payload, _, n, err := frame.Split(b[off:], MaxFrame, ErrCorrupt)
+		var rec Record
+		if err == nil {
+			rec, err = decodePayload(payload, prev+1 > from && prev+1 <= to)
+		}
 		if err != nil {
 			// A bad frame that is the last thing in the buffer looks like a
 			// torn write even when its length header survived.
 			if off+n >= len(b) && errors.Is(err, ErrCorrupt) && n > 0 {
-				err = fmt.Errorf("%w (%v)", errTorn, err)
+				err = fmt.Errorf("%w (%v)", frame.ErrTorn, err)
 			}
 			return frames, off, err
 		}
@@ -441,33 +441,6 @@ func scanFrames(b []byte, prev, from, to uint64, fn func(Record)) (frames, goodL
 	return frames, off, nil
 }
 
-// decodeFrame parses one frame at the start of b, returning the record and
-// the total frame length; full selects a complete decode (see scanFrames).
-// It never panics; n is 0 when even the frame header is unusable.
-func decodeFrame(b []byte, full bool) (Record, int, error) {
-	if len(b) < frameOverhead {
-		return Record{}, 0, fmt.Errorf("%w: %d-byte frame header", errTorn, len(b))
-	}
-	plen := binary.LittleEndian.Uint32(b)
-	sum := binary.LittleEndian.Uint32(b[4:])
-	if plen > MaxFrame {
-		return Record{}, 0, fmt.Errorf("%w: frame length %d exceeds %d", ErrCorrupt, plen, MaxFrame)
-	}
-	total := frameOverhead + int(plen)
-	if len(b) < total {
-		return Record{}, 0, fmt.Errorf("%w: %d of %d frame bytes", errTorn, len(b), total)
-	}
-	payload := b[frameOverhead:total]
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return Record{}, total, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, sum)
-	}
-	rec, err := decodePayload(payload, full)
-	if err != nil {
-		return Record{}, total, err
-	}
-	return rec, total, nil
-}
-
 // ---- payload codec ----
 
 func appendRecord(b []byte, r Record) []byte {
@@ -476,73 +449,16 @@ func appendRecord(b []byte, r Record) []byte {
 		b = append(b, kindBad)
 		b = binary.AppendUvarint(b, r.Seq)
 		b = binary.AppendVarint(b, int64(r.Bad.Line))
-		b = appendString(b, r.Bad.Token)
+		b = frame.AppendString(b, r.Bad.Token)
 		msg := ""
 		if r.Bad.Err != nil {
 			msg = r.Bad.Err.Error()
 		}
-		return appendString(b, msg)
+		return frame.AppendString(b, msg)
 	}
 	b = append(b, kindGood)
 	b = binary.AppendUvarint(b, r.Seq)
-	items := r.Rec.Items()
-	b = binary.AppendUvarint(b, uint64(len(items)))
-	prev := int64(-1)
-	for _, it := range items {
-		b = binary.AppendUvarint(b, uint64(int64(it)-prev-1))
-		prev = int64(it)
-	}
-	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// payloadReader is a panic-free cursor, validating every length against the
-// remaining bytes before allocating (same discipline as checkpoint.Decode).
-type payloadReader struct {
-	b   []byte
-	off int
-}
-
-func (r *payloadReader) remaining() int { return len(r.b) - r.off }
-
-func (r *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated uvarint at offset %d", ErrCorrupt, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *payloadReader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint at offset %d", ErrCorrupt, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// str reads a length-prefixed string, copying it out only when keep is set.
-func (r *payloadReader) str(what string, keep bool) (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.remaining()) {
-		return "", fmt.Errorf("%w: %s length %d exceeds %d remaining bytes",
-			ErrCorrupt, what, n, r.remaining())
-	}
-	var s string
-	if keep {
-		s = string(r.b[r.off : r.off+int(n)])
-	}
-	r.off += int(n)
-	return s, nil
+	return frame.AppendItems(b, r.Rec.Items())
 }
 
 // skippedBad is the placeholder Bad of a malformed-line frame validated
@@ -553,85 +469,32 @@ var skippedBad = &data.ParseError{}
 // full false — just its coordinates and kind, with the same checks on every
 // byte and nothing allocated.
 func decodePayload(payload []byte, full bool) (Record, error) {
-	r := &payloadReader{b: payload}
-	var rec Record
-	var err error
-	if rec.Line, err = r.uvarint(); err != nil {
-		return Record{}, err
-	}
-	if rec.Line == 0 {
-		return Record{}, fmt.Errorf("%w: zero line", ErrCorrupt)
-	}
-	if r.remaining() < 1 {
-		return Record{}, fmt.Errorf("%w: missing kind byte", ErrCorrupt)
-	}
-	kind := r.b[r.off]
-	r.off++
-	if rec.Seq, err = r.uvarint(); err != nil {
-		return Record{}, err
-	}
+	r := frame.NewReader(payload, ErrCorrupt)
+	rec := Record{Line: r.Uvarint()}
+	kind := r.Byte()
+	rec.Seq = r.Uvarint()
 	switch kind {
 	case kindGood:
-		n, err := r.uvarint()
-		if err != nil {
-			return Record{}, err
+		items := frame.ReadItems[itemset.Item](r, full)
+		if full {
+			rec.Rec = itemset.FromSorted(items)
 		}
-		if n > uint64(r.remaining()) {
-			return Record{}, fmt.Errorf("%w: item count %d exceeds %d remaining bytes",
-				ErrCorrupt, n, r.remaining())
-		}
-		prev := int64(-1)
-		if !full {
-			for i := uint64(0); i < n; i++ {
-				gap, err := r.uvarint()
-				if err != nil {
-					return Record{}, err
-				}
-				if prev += 1 + int64(gap); prev > math.MaxInt32 {
-					return Record{}, fmt.Errorf("%w: item id %d overflows", ErrCorrupt, prev)
-				}
-			}
-			break
-		}
-		items := make([]itemset.Item, n)
-		for i := range items {
-			gap, err := r.uvarint()
-			if err != nil {
-				return Record{}, err
-			}
-			v := prev + 1 + int64(gap)
-			if v > math.MaxInt32 {
-				return Record{}, fmt.Errorf("%w: item id %d overflows", ErrCorrupt, v)
-			}
-			items[i] = itemset.Item(v)
-			prev = v
-		}
-		rec.Rec = itemset.FromSorted(items)
 	case kindBad:
-		line, err := r.varint()
-		if err != nil {
-			return Record{}, err
-		}
-		if line < 0 || line > math.MaxInt32 {
-			return Record{}, fmt.Errorf("%w: parse line %d out of range", ErrCorrupt, line)
-		}
-		token, err := r.str("bad token", full)
-		if err != nil {
-			return Record{}, err
-		}
-		msg, err := r.str("bad reason", full)
-		if err != nil {
-			return Record{}, err
-		}
+		line := r.Int("parse line", 0, math.MaxInt32)
+		token := r.Bytes("bad token")
+		msg := r.Bytes("bad reason")
 		rec.Bad = skippedBad
 		if full {
-			rec.Bad = &data.ParseError{Line: int(line), Token: token, Err: errors.New(msg)}
+			rec.Bad = &data.ParseError{Line: line, Token: string(token), Err: errors.New(string(msg))}
 		}
 	default:
-		return Record{}, fmt.Errorf("%w: frame kind %d", ErrCorrupt, kind)
+		r.Fail("frame kind %d", kind)
 	}
-	if r.remaining() != 0 {
-		return Record{}, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, r.remaining())
+	if rec.Line == 0 {
+		r.Fail("zero line")
+	}
+	if err := r.Done(); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
 }
@@ -653,15 +516,13 @@ func (l *Log) Append(r Record) error {
 	if r.Line != l.last+1 {
 		return fmt.Errorf("wal: appending line %d after %d", r.Line, l.last)
 	}
-	payload := appendRecord(nil, r)
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wal: record at line %d encodes to %d bytes, beyond MaxFrame", r.Line, len(payload))
+	start := len(l.buf)
+	l.buf = appendRecord(frame.Begin(l.buf), r)
+	if n := len(l.buf) - start - frame.HeaderLen; n > MaxFrame {
+		l.buf = l.buf[:start]
+		return fmt.Errorf("wal: record at line %d encodes to %d bytes, beyond MaxFrame", r.Line, n)
 	}
-	var hdr [frameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, payload...)
+	frame.Seal(l.buf, start)
 	l.pending = append(l.pending, r)
 	l.last = r.Line
 	if r.Bad == nil {
@@ -761,7 +622,7 @@ func (l *Log) newSegment(base uint64) error {
 		f.Close()
 		return fmt.Errorf("wal: syncing segment header: %w", err)
 	}
-	syncDir(l.dir)
+	frame.SyncDir(l.dir)
 	l.segs = append(l.segs, segment{base: base, path: path})
 	l.active, l.activeSize = f, int64(segHeader)
 	if l.m != nil {
@@ -801,7 +662,7 @@ func (l *Log) TruncateBefore(line uint64) error {
 		removed = true
 	}
 	if removed {
-		syncDir(l.dir)
+		frame.SyncDir(l.dir)
 		if l.m != nil {
 			l.m.segments.Set(float64(len(l.segs)))
 		}
@@ -1052,17 +913,6 @@ func (t *TokenLog) Close() error {
 }
 
 // ---- fs helpers ----
-
-// syncDir best-effort fsyncs a directory so renames and removals are
-// durable (same discipline as the checkpoint store).
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
-}
 
 func fsyncFile(path string) error {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)

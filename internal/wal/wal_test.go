@@ -1,16 +1,15 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/frame"
 	"repro/internal/itemset"
 	"repro/internal/telemetry"
 )
@@ -258,7 +257,7 @@ func TestWALCorruptSegmentRecovery(t *testing.T) {
 	segs, _ := filepath.Glob(filepath.Join(dir, segGlob))
 	mid := segs[1]
 	buf, _ := os.ReadFile(mid)
-	buf[segHeader+frameOverhead+1] ^= 0xFF // flip a payload byte of the first frame
+	buf[segHeader+frame.HeaderLen+1] ^= 0xFF // flip a payload byte of the first frame
 	if err := os.WriteFile(mid, buf, 0o644); err != nil {
 		t.Fatalf("corrupting %s: %v", mid, err)
 	}
@@ -417,12 +416,24 @@ func TestTokenLogRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALRejectsWrappingItemGap: a checksum-valid frame whose item gap
+// wraps round past 2^63 is corrupt to the full decode and to the recovery
+// scan's validate-only decode alike — never a panic, a repeated id or a
+// negative one.
+func TestWALRejectsWrappingItemGap(t *testing.T) {
+	for i, p := range wrapGapPayloads() {
+		for _, full := range []bool{true, false} {
+			if rec, err := decodePayload(p, full); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("payload %d (full=%v): %+v, %v; want ErrCorrupt", i, full, rec, err)
+			}
+		}
+	}
+}
+
 // buildFrame encodes one record as a wire frame (test helper shared with
 // the fuzz seeds).
 func buildFrame(r Record) []byte {
-	payload := appendRecord(nil, r)
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
+	b := appendRecord(frame.Begin(nil), r)
+	frame.Seal(b, 0)
+	return b
 }
