@@ -10,7 +10,7 @@
 // diffable artifact rather than a hunch.
 //
 //	bench                 # full measurement, writes BENCH_pipeline.json
-//	bench -quick          # CI smoke: one iteration per scenario
+//	bench -quick          # CI smoke: one iteration per scenario, writes BENCH_fresh.json
 //	bench -out FILE       # write elsewhere
 //
 // Scenario inputs are fixed synthetic streams (data.WebViewLike, constant
@@ -180,11 +180,11 @@ func benchPublish(records []itemset.Itemset, workers, fullEvery int) func(b *tes
 		var disk checkpoint.IOStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			var st *checkpoint.Store
 			if dir != "" {
-				// A store per run, as the pipeline builds one from
-				// CheckpointDir, so its counters cover exactly one run.
-				st, err := checkpoint.NewStore(dir, 0)
-				if err != nil {
+				// A store per run, so its counters cover exactly one run.
+				var err error
+				if st, err = checkpoint.NewStore(dir, 0); err != nil {
 					b.Fatal(err)
 				}
 				cfg.Checkpoints = st
@@ -203,7 +203,7 @@ func benchPublish(records []itemset.Itemset, workers, fullEvery int) func(b *tes
 			if published != benchWindows {
 				b.Fatalf("published %d windows, want %d", published, benchWindows)
 			}
-			if st := cfg.Checkpoints; st != nil {
+			if st != nil {
 				if err := st.Close(); err != nil {
 					b.Fatal(err)
 				}
@@ -310,18 +310,32 @@ func writeReport(rep report, path string) error {
 // the supported channel for tuning testing.Benchmark outside `go test`.
 func setBenchtime(v string) error { return flag.Set("test.benchtime", v) }
 
+// defaultOut is where the report goes without -out: a full run rewrites the
+// checked-in baseline, a -quick run writes BENCH_fresh.json, so a
+// one-iteration smoke run never replaces the baseline.
+func defaultOut(quick bool) string {
+	if quick {
+		return "BENCH_fresh.json"
+	}
+	return "BENCH_pipeline.json"
+}
+
 func main() {
 	testing.Init() // registers test.benchtime before our flags parse
-	out := flag.String("out", "BENCH_pipeline.json", "output JSON path ('-' for stdout)")
+	out := flag.String("out", "",
+		"output JSON path ('-' for stdout; default BENCH_pipeline.json, or BENCH_fresh.json with -quick)")
 	quick := flag.Bool("quick", false, "CI smoke mode: one iteration per scenario")
 	diff := flag.String("diff", "",
 		"baseline JSON to gate against: exit non-zero on a perf regression (see diff.go for the policy)")
 	history := flag.String("history", "",
 		"JSONL file to append this run's headline numbers to (see history.go; CI accumulates BENCH_history.jsonl)")
 	flag.Parse()
+	if *out == "" {
+		*out = defaultOut(*quick)
+	}
 
-	// Read the baseline before the run: -out defaults to the baseline's own
-	// file name, and the fresh report is written before the comparison.
+	// Read the baseline before the run: -out may name the baseline's own
+	// file, and the fresh report is written before the comparison.
 	var baseline report
 	if *diff != "" {
 		var err error

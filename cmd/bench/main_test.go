@@ -102,3 +102,16 @@ func TestCheckpointDiskIOPerOp(t *testing.T) {
 	}
 	t.Logf("all-full %v, delta %v", full, delta)
 }
+
+// TestQuickRunKeepsBaseline: without -out, only a full run writes the
+// checked-in baseline; a -quick run's one-iteration report goes to
+// BENCH_fresh.json, so the local form of the CI gate (`bench -quick -diff
+// BENCH_pipeline.json`) leaves the baseline it compares against intact.
+func TestQuickRunKeepsBaseline(t *testing.T) {
+	if got := defaultOut(true); got != "BENCH_fresh.json" {
+		t.Errorf("-quick writes %q by default, want BENCH_fresh.json", got)
+	}
+	if got := defaultOut(false); got != "BENCH_pipeline.json" {
+		t.Errorf("a full run writes %q by default, want BENCH_pipeline.json", got)
+	}
+}

@@ -25,7 +25,7 @@
 // /debug/trace/events (the per-window flight recorder as Chrome trace-event
 // JSON, loadable in Perfetto) and net/http/pprof on a private mux, covering
 // per-stage latency, retry and quarantine counters, checkpoint cadence and
-// the live privacy/utility posture (see OBSERVABILITY.md). -trace-out FILE
+// republication-cache traffic (see OBSERVABILITY.md). -trace-out FILE
 // writes the same trace JSON at exit — on graceful drain, abort and resume
 // failure alike — retaining the last -trace-windows windows plus the
 // slowest-window exemplars. -log-json switches the stderr status lines to
@@ -335,11 +335,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 	}
 
-	ckptEvery := 0
-	if store != nil {
-		ckptEvery = *checkpointEvry
-	}
-	pipe, err := pipeline.New(pipeline.Config{
+	cfg := pipeline.Config{
 		WindowSize: *window,
 		Params: core.Params{
 			Epsilon:     *epsilon,
@@ -356,14 +352,16 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		MaxBadRecords:       *maxBadRecords,
 		EmitRetries:         *emitRetries,
 		WindowTimeout:       *windowTimeout,
-		CheckpointEvery:     ckptEvery,
 		CheckpointFullEvery: *checkpointFull,
-		CheckpointKeep:      *checkpointKeep,
-		Checkpoints:         store,
 		Resume:              resumeSnap,
 		Metrics:             reg,
 		Trace:               tracer,
-	})
+	}
+	if store != nil { // a nil *Store must stay a nil sink
+		cfg.Checkpoints = store
+		cfg.CheckpointEvery = *checkpointEvry
+	}
+	pipe, err := pipeline.New(cfg)
 	if err != nil {
 		return err
 	}

@@ -89,7 +89,7 @@ func TestRunTelemetryLiveScrape(t *testing.T) {
 		"# TYPE butterfly_records_total counter",
 		"# TYPE butterfly_trace_span_seconds histogram",
 		`butterfly_trace_span_seconds_bucket{span="mine",le="+Inf"}`,
-		"# TYPE butterfly_privacy_avg_prig gauge",
+		"# TYPE butterfly_cache_hits_total counter",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)

@@ -65,7 +65,6 @@ type flagValues struct {
 	history          int
 	breakerFailures  int
 	restartBackoff   time.Duration
-	replayLimit      int
 	drainTimeout     time.Duration
 	ckptFullEvery    int
 }
@@ -94,9 +93,6 @@ func validateFlags(v flagValues) error {
 	if v.restartBackoff <= 0 {
 		return fmt.Errorf("-restart-backoff %v must be > 0", v.restartBackoff)
 	}
-	if v.replayLimit < 1 {
-		return fmt.Errorf("-replay-limit %d must be >= 1", v.replayLimit)
-	}
 	if v.drainTimeout <= 0 {
 		return fmt.Errorf("-drain-timeout %v must be > 0", v.drainTimeout)
 	}
@@ -124,7 +120,6 @@ func run(args []string, stdout io.Writer) error {
 		history         = fs.Int("history", 64, "default published windows retained per stream for GET /windows")
 		breakerFailures = fs.Int("breaker-failures", 3, "consecutive failed runs before a stream is quarantined")
 		restartBackoff  = fs.Duration("restart-backoff", 25*time.Millisecond, "initial in-process restart delay (doubles per consecutive failure)")
-		replayLimit     = fs.Int("replay-limit", 65536, "per-stream replay buffer cap in records (restartability bound)")
 		ckptFullEvery   = fs.Int("checkpoint-full-every", 16, "default checkpoints between full snapshots per stream; the rest are delta frames (1: all full)")
 		drainTimeout    = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline after the first signal")
 		logJSON         = fs.Bool("log-json", false, "emit logs as structured JSON (log/slog) on stderr")
@@ -136,7 +131,7 @@ func run(args []string, stdout io.Writer) error {
 		addr: *addr, maxStreams: *maxStreams, maxInflightBytes: *maxInflight,
 		queueDepth: *queueDepth, history: *history,
 		breakerFailures: *breakerFailures, restartBackoff: *restartBackoff,
-		replayLimit: *replayLimit, drainTimeout: *drainTimeout,
+		drainTimeout:  *drainTimeout,
 		ckptFullEvery: *ckptFullEvery,
 	}); err != nil {
 		return err
@@ -159,7 +154,6 @@ func run(args []string, stdout io.Writer) error {
 		History:             *history,
 		BreakerFailures:     *breakerFailures,
 		RestartBackoff:      *restartBackoff,
-		ReplayLimit:         *replayLimit,
 		DrainTimeout:        *drainTimeout,
 		CheckpointFullEvery: *ckptFullEvery,
 		Logger:              logger,

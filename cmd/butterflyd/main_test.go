@@ -21,7 +21,6 @@ func validFlags() flagValues {
 		history:          4,
 		breakerFailures:  3,
 		restartBackoff:   time.Millisecond,
-		replayLimit:      1024,
 		drainTimeout:     time.Second,
 		ckptFullEvery:    16,
 	}
@@ -45,7 +44,6 @@ func TestValidateFlags(t *testing.T) {
 		{"zero breaker failures", func(v *flagValues) { v.breakerFailures = 0 }, "-breaker-failures"},
 		{"zero restart backoff", func(v *flagValues) { v.restartBackoff = 0 }, "-restart-backoff"},
 		{"negative restart backoff", func(v *flagValues) { v.restartBackoff = -time.Second }, "-restart-backoff"},
-		{"zero replay limit", func(v *flagValues) { v.replayLimit = 0 }, "-replay-limit"},
 		{"zero drain timeout", func(v *flagValues) { v.drainTimeout = 0 }, "-drain-timeout"},
 		{"zero checkpoint-full-every", func(v *flagValues) { v.ckptFullEvery = 0 }, "-checkpoint-full-every"},
 	}

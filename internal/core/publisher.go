@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/fec"
 	"repro/internal/itemset"
-	"repro/internal/metrics"
 	"repro/internal/mining"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -106,7 +105,6 @@ type Publisher struct {
 	memberScratch []itemset.Itemset // flat backing array for classScratch members
 	ladderScratch []ladderRung      // current window's ladder, compared to lastLadder
 	keyBuf        []byte            // AppendKey scratch for cache lookups
-	pairScratch   []metrics.Pair    // posture telemetry: the window's pair-rate prefix
 	run           chunkRun          // the current window's chunked perturbation
 
 	// Incremental bias reuse (the paper's §VII "incremental version"
@@ -139,15 +137,12 @@ type Publisher struct {
 	optDur     time.Duration
 	perturbDur time.Duration
 
-	// Observability (see telemetry.go): the registered instrument set and
-	// the rolling ring behind the §V-C posture gauges. nil metrics disables
-	// recording; none of it influences published values. tr is the current
-	// window's flight-recorder trace (SetTrace), receiving the
+	// Observability (see telemetry.go): the registered instrument set (nil
+	// disables recording; none of it influences published values), and tr,
+	// the current window's flight-recorder trace (SetTrace), receiving the
 	// bias-optimization and republication-cache child spans.
-	metrics  *pubMetrics
-	tr       *trace.Window
-	roll     [privacyRollWindows]windowPosture
-	rollNext int
+	metrics *pubMetrics
+	tr      *trace.Window
 }
 
 // publishChunkClasses is the number of FECs per perturbation chunk. It is a
@@ -241,9 +236,6 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 		pub.window--
 		return nil, err
 	}
-	// The window's §V-C posture (telemetry.go) reads the items while they
-	// still line up with the classes' members; a no-op without a registry.
-	pub.recordPosture(classes, out.Items)
 	slices.SortFunc(out.Items, func(a, b PublishedItemset) int {
 		if a.Support != b.Support {
 			return b.Support - a.Support

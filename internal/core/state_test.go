@@ -102,6 +102,54 @@ func TestPublisherSnapshotRestoreContinuesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRestoreCopiesHeldState: Restore copies the state it is given, so one
+// held snapshot can seed any number of restarts — what an in-memory
+// checkpoint relies on when a stream fails again before its next save.
+// Publishing after a restore leaves the held state unchanged, and a second
+// restore from it publishes the same windows again.
+func TestRestoreCopiesHeldState(t *testing.T) {
+	stream, records := stateTestStream(t, 2)
+	const cutAt = 260
+	for i, rec := range records[:cutAt] {
+		stream.Push(rec)
+		if stream.Ready() && (i+1)%20 == 0 {
+			if _, err := stream.Publish(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	held, window := stream.Publisher().Snapshot(), stream.WindowRecords()
+	heldText := fmt.Sprintf("%+v", *held)
+	restart := func() []string {
+		s, _ := stateTestStream(t, 2)
+		for _, rec := range window {
+			s.Push(rec)
+		}
+		if err := s.Publisher().Restore(held); err != nil {
+			t.Fatal(err)
+		}
+		var outs []string
+		for i := cutAt; i < len(records); i++ {
+			s.Push(records[i])
+			if (i+1)%20 == 0 {
+				out, err := s.Publish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs = append(outs, renderOutput(out))
+			}
+		}
+		return outs
+	}
+	first := restart()
+	if got := fmt.Sprintf("%+v", *held); got != heldText {
+		t.Fatal("publishing after Restore mutated the state it was restored from")
+	}
+	if second := restart(); strings.Join(second, "\n") != strings.Join(first, "\n") {
+		t.Fatal("a second restore from the same held state published different windows")
+	}
+}
+
 // TestSnapshotIsDeepCopy: mutating the publisher after Snapshot must not
 // disturb the captured state, and vice versa.
 func TestSnapshotIsDeepCopy(t *testing.T) {

@@ -57,7 +57,7 @@ func benchCheckpointed(b *testing.B, fullEvery int) {
 		b.Fatal(err)
 	}
 	cfg := testConfig(2)
-	cfg.CheckpointDir = store.Dir()
+	cfg.Checkpoints = store
 	cfg.CheckpointEvery = 1
 	cfg.CheckpointFullEvery = fullEvery
 	b.ResetTimer()

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/itemset"
@@ -87,7 +88,7 @@ func TestTelemetryABIdentity(t *testing.T) {
 func TestTelemetryRecording(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := telemetryTestConfig(2, reg)
-	cfg.CheckpointDir = t.TempDir()
+	cfg.Checkpoints = &checkpoint.Memory{}
 	cfg.CheckpointEvery = 1
 	records := data.WebViewLike(3).Generate(900)
 	renderRun(t, cfg, records)
@@ -143,24 +144,89 @@ func TestTelemetryRecording(t *testing.T) {
 		t.Error("cache-entries gauge never set")
 	}
 
-	// §V-C posture gauges: pred within the calibrated ε budget (loose 2x
-	// slack — it is a mean, not the bound), prig proxy above the δ floor,
-	// rates in [0, 1].
-	pred, prig := gauges[core.MetricAvgPred], gauges[core.MetricAvgPrig]
-	if pred <= 0 || pred > 2*cfg.Params.Epsilon {
-		t.Errorf("avg_pred gauge %v outside (0, 2ε=%v]", pred, 2*cfg.Params.Epsilon)
-	}
-	if prig < cfg.Params.Delta {
-		t.Errorf("avg_prig proxy %v below the δ floor %v", prig, cfg.Params.Delta)
-	}
-	for _, name := range []string{core.MetricROPP, core.MetricRRPP} {
-		if v := gauges[name]; v <= 0 || v > 1 {
-			t.Errorf("%s gauge %v outside (0, 1]", name, v)
-		}
-	}
 	if gauges[MetricWindowSets] == 0 {
 		t.Error("window-itemsets gauge never set")
 	}
+}
+
+// TestTelemetryHidesTrueSupports: what a run exports is a function of what
+// it published, not of the true supports behind it. Two single-window runs
+// whose one frequent itemset has true supports T and T+1, at seeds that make
+// them publish the same bytes, must leave registries that read alike,
+// timing series aside. A gauge of the window's noise — a mean of
+// (published − true)² — tells the two apart, and on a one-itemset window
+// solves for T.
+func TestTelemetryHidesTrueSupports(t *testing.T) {
+	const window, truth = 40, 20
+	records := func(support int) []itemset.Itemset {
+		recs := make([]itemset.Itemset, window)
+		for i := range recs {
+			if i < support {
+				recs[i] = itemset.New(0)
+			} else {
+				recs[i] = itemset.New(itemset.Item(i + 1)) // below MinSupport
+			}
+		}
+		return recs
+	}
+	run := func(support int, seed uint64) (published string, exported []string) {
+		reg := telemetry.NewRegistry()
+		cfg := telemetryTestConfig(1, reg)
+		cfg.WindowSize, cfg.PublishEvery, cfg.Scheme, cfg.Seed = window, 0, nil, seed
+		published = renderRun(t, cfg, records(support))
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if !strings.Contains(line, "_seconds") {
+				exported = append(exported, line)
+			}
+		}
+		return published, exported
+	}
+
+	// only returns the lines of a that b lacks.
+	only := func(a, b []string) []string {
+		in := map[string]bool{}
+		for _, l := range b {
+			in[l] = true
+		}
+		var out []string
+		for _, l := range a {
+			if !in[l] {
+				out = append(out, l)
+			}
+		}
+		return out
+	}
+
+	// The seed search is deterministic: the first T+1 seed in 1..32 whose
+	// output a T seed in 1..32 also published, paired with the smallest
+	// such T seed.
+	const seeds = 32
+	bySeed := map[string]uint64{}
+	for seed := uint64(seeds); seed >= 1; seed-- {
+		pub, _ := run(truth, seed)
+		bySeed[pub] = seed
+	}
+	for seed := uint64(1); seed <= seeds; seed++ {
+		pub, other := run(truth+1, seed)
+		first, ok := bySeed[pub]
+		if !ok {
+			continue
+		}
+		if !strings.Contains(pub, "== 40") {
+			t.Fatalf("the run did not publish its window:\n%s", pub)
+		}
+		_, base := run(truth, first)
+		if d1, d2 := only(base, other), only(other, base); len(d1)+len(d2) > 0 {
+			t.Errorf("true support %d (seed %d) and %d (seed %d) publish the same window, but the registry tells them apart:\n%s\n--- vs ---\n%s",
+				truth, first, truth+1, seed, strings.Join(d1, "\n"), strings.Join(d2, "\n"))
+		}
+		return
+	}
+	t.Fatalf("no seed pair in 1..%d publishes true supports %d and %d identically", seeds, truth, truth+1)
 }
 
 // TestTelemetryFaultCounters drives the retry and quarantine paths and

@@ -33,8 +33,8 @@
 //
 // Observability (see metrics.go): when Config.Metrics carries a
 // telemetry.Registry, the pipeline records per-stage wall-time histograms,
-// throughput/retry/quarantine/watchdog counters and checkpoint timings, and
-// the publisher adds cache and rolling §V-C posture instruments.
+// throughput/retry/quarantine/watchdog counters and checkpoint sizes, and
+// the publisher adds its cache instruments.
 // Instrumentation is strictly observation-only — the A/B identity test pins
 // published bytes identical with telemetry on or off at every worker count.
 package pipeline
@@ -99,19 +99,19 @@ type Config struct {
 	// the run. 0 disables the watchdog.
 	WindowTimeout time.Duration
 
-	// CheckpointDir, when non-empty, enables crash-safe checkpointing: a
-	// versioned, checksummed snapshot of the run state (source position,
-	// sliding-window buffer, full publisher state) is written atomically to
-	// this directory after every CheckpointEvery-th published window, and
-	// always after the final window of a finite or drained stream.
-	CheckpointDir string
+	// Checkpoints, when non-nil, is where the run persists its state: a
+	// consistent snapshot (source position, sliding-window buffer, full
+	// publisher state) is saved after every CheckpointEvery-th published
+	// window, and always after the final window of a finite or drained
+	// stream. The disk *checkpoint.Store and the in-memory
+	// *checkpoint.Memory implement it. Assign a nil *checkpoint.Store as
+	// nil, not as a typed nil: a non-nil interface holding one would be
+	// saved to.
+	Checkpoints CheckpointSink
 	// CheckpointEvery is the checkpoint interval in published windows; 0
-	// with a CheckpointDir means every window. Negative is rejected.
+	// means every window. Negative is rejected, and so is a positive
+	// interval without Checkpoints.
 	CheckpointEvery int
-	// CheckpointKeep is how many full-snapshot generations to retain
-	// (checkpoint.DefaultKeep when 0); each full's delta-chain segment is
-	// retained and pruned with it.
-	CheckpointKeep int
 	// CheckpointFullEvery is the full-snapshot compaction interval: of every
 	// CheckpointFullEvery checkpoint generations, the first is a full
 	// snapshot and the rest are delta frames appended to its chain
@@ -124,9 +124,6 @@ type Config struct {
 	// Store.Latest() returns the newest full extended by its chain's valid
 	// frame prefix, and resume remains byte-identical.
 	CheckpointFullEvery int
-	// Checkpoints overrides CheckpointDir with a pre-built store — the
-	// hook tests use to install crash plans; CLI callers use CheckpointDir.
-	Checkpoints *checkpoint.Store
 	// Resume, when non-nil, restores the run from a snapshot before any
 	// stage starts: the publisher state is restored and the sliding window
 	// is rebuilt from the snapshot's buffer. The source must yield the
@@ -141,22 +138,13 @@ type Config struct {
 	Resume *checkpoint.Snapshot
 
 	// Metrics, when non-nil, receives the run's telemetry:
-	// record/retry/quarantine/checkpoint counters, the publisher's cache and
-	// §V-C posture gauges, and — through a ring-less tracer when Trace is
+	// record/retry/quarantine/checkpoint counters, the publisher's cache
+	// instruments, and — through a ring-less tracer when Trace is
 	// nil — the span histograms that time every stage, checkpoint save,
 	// resume and bias optimization (see OBSERVABILITY.md). Telemetry is
 	// observation-only — published output is byte-identical with Metrics
 	// set or nil at every worker count.
 	Metrics *telemetry.Registry
-
-	// Warnf, when non-nil, receives the warnings the run absorbs without
-	// failing — today the checkpoint store's corruption-fallback and prune
-	// notices when the store is built here from CheckpointDir. Callers that
-	// pass a pre-built store via Checkpoints keep wiring Store.Logf
-	// themselves; callers that only hand over a directory previously lost
-	// these warnings entirely (they bypassed the CLI's structured
-	// statusLogger). Route it into a *slog.Logger or equivalent.
-	Warnf func(format string, args ...any)
 
 	// Trace, when non-nil, is the tracer the run records its spans into
 	// instead of the ring-less one Metrics implies — pass a trace.New
@@ -170,6 +158,17 @@ type Config struct {
 	// byte-identical with Trace set or nil at every worker count — and the
 	// span hot path does not allocate after warm-up.
 	Trace *trace.Tracer
+}
+
+// CheckpointSink is what the emit stage persists checkpoint generations to
+// (Config.Checkpoints), and the two sizes it reports as metrics.
+type CheckpointSink interface {
+	Save(*checkpoint.Snapshot) error
+	AppendDelta(*checkpoint.Delta) error
+	// LastSaveBytes is the size written by the newest Save or AppendDelta.
+	LastSaveBytes() int
+	// ChainFrames is the number of delta frames since the newest full.
+	ChainFrames() int
 }
 
 // Fingerprint is the configuration identity a snapshot is bound to; resume
@@ -299,14 +298,11 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("pipeline: negative checkpoint interval %d", cfg.CheckpointEvery)
 	}
-	if cfg.CheckpointKeep < 0 {
-		return nil, fmt.Errorf("pipeline: negative checkpoint retention %d", cfg.CheckpointKeep)
-	}
 	if cfg.CheckpointFullEvery < 0 {
 		return nil, fmt.Errorf("pipeline: negative full-snapshot interval %d", cfg.CheckpointFullEvery)
 	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" && cfg.Checkpoints == nil {
-		return nil, fmt.Errorf("pipeline: checkpoint interval %d without a checkpoint directory", cfg.CheckpointEvery)
+	if cfg.CheckpointEvery > 0 && cfg.Checkpoints == nil {
+		return nil, fmt.Errorf("pipeline: checkpoint interval %d without a checkpoint sink", cfg.CheckpointEvery)
 	}
 	if cfg.Resume != nil {
 		if err := cfg.verifyResume(cfg.Resume); err != nil {
@@ -405,19 +401,6 @@ func (p *Pipeline) RunContext(ctx context.Context, src RecordSource, emit func(W
 	run := newRunState(ctx, p.cfg)
 	defer run.cancel()
 	run.ckpts = p.cfg.Checkpoints
-	if run.ckpts == nil && p.cfg.CheckpointDir != "" {
-		run.ckpts, err = checkpoint.NewStore(p.cfg.CheckpointDir, p.cfg.CheckpointKeep)
-		if err != nil {
-			return nil, err
-		}
-		// A store built here would otherwise swallow its corruption-fallback
-		// and prune warnings; hand them to the caller's logger.
-		run.ckpts.Logf = p.cfg.Warnf
-		// The store is ours: release the open delta-chain segment descriptor
-		// when the run ends. (A caller-provided store stays the caller's to
-		// close.)
-		defer run.ckpts.Close()
-	}
 	run.ckptEvery = p.cfg.CheckpointEvery
 	if run.ckptEvery <= 0 {
 		run.ckptEvery = 1

@@ -34,16 +34,19 @@ const (
 )
 
 func resumeConfig(workers int, store *checkpoint.Store, ckptEvery int) pipeline.Config {
-	return pipeline.Config{
+	cfg := pipeline.Config{
 		WindowSize:      resumeWindow,
 		Params:          core.Params{Epsilon: 0.1, Delta: 0.4, MinSupport: 10, VulnSupport: 5},
 		Scheme:          core.Hybrid{Lambda: 0.4},
 		Seed:            17,
 		PublishEvery:    resumeEvery,
 		Workers:         workers,
-		Checkpoints:     store,
 		CheckpointEvery: ckptEvery,
 	}
+	if store != nil { // a typed nil in the interface would be saved to
+		cfg.Checkpoints = store
+	}
+	return cfg
 }
 
 // renderWindow serializes one published window to a canonical string, the

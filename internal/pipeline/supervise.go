@@ -102,10 +102,10 @@ type runState struct {
 	cancel context.CancelFunc
 
 	// Durability plumbing (set once in RunContext, before the stages
-	// start): the checkpoint store, the snapshot interval in published
+	// start): the checkpoint sink, the snapshot interval in published
 	// windows, and the snapshot this run resumes from (nil for a fresh
 	// run).
-	ckpts     *checkpoint.Store
+	ckpts     CheckpointSink
 	ckptEvery int
 	resume    *checkpoint.Snapshot
 

@@ -50,7 +50,7 @@ func TestTraceRecording(t *testing.T) {
 	tr := trace.New(trace.Options{Windows: 32})
 	cfg := telemetryTestConfig(2, nil)
 	cfg.Trace = tr
-	cfg.CheckpointDir = t.TempDir()
+	cfg.Checkpoints = &checkpoint.Memory{}
 	cfg.CheckpointEvery = 1
 	records := data.WebViewLike(3).Generate(900)
 	renderRun(t, cfg, records)

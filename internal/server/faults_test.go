@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/itemset"
 	"repro/internal/pipeline"
@@ -121,7 +122,7 @@ func TestAdmissionMaxStreams(t *testing.T) {
 // quarantined — ingest refused, neighbors untouched — until a control-plane
 // resume restarts it; once the fault is gone the stream completes and its
 // windows are byte-identical to a clean reference run (deterministic
-// restart from the replay buffer).
+// restart from the retained lines: no window was ever saved).
 func TestBreakerQuarantineAndHeal(t *testing.T) {
 	var healed atomic.Bool
 	reg := telemetry.NewRegistry()
@@ -208,6 +209,139 @@ func TestBreakerQuarantineAndHeal(t *testing.T) {
 		if got[pos] != want {
 			t.Errorf("healed stream window at %d differs from the reference run", pos)
 		}
+	}
+}
+
+// TestMemoryOnlyRestartFromSnapshot: a memory-only stream restarts from its
+// newest in-memory snapshot plus the lines consumed after it, however old
+// the stream is. A window failing past 65,536 consumed records restarts the
+// stream once; it then publishes every window byte-identical to a
+// standalone run, and at rest it retains no line its snapshot covers.
+func TestMemoryOnlyRestartFromSnapshot(t *testing.T) {
+	const records, failAt = 70000, 66100
+	cfg := testConfig("long", 3)
+	cfg.PublishEvery = 2000
+	input := genInput(t, 3, records)
+	ref := referenceWindows(t, cfg, input)
+	var failed atomic.Bool
+	srv, c := newTestServer(t, Options{
+		RestartBackoff: time.Millisecond,
+		WrapSink: func(_ string, emit func(pipeline.Window) error) func(pipeline.Window) error {
+			return func(w pipeline.Window) error {
+				if w.Position == failAt && failed.CompareAndSwap(false, true) {
+					return fmt.Errorf("injected one-shot sink failure at position %d", w.Position)
+				}
+				return emit(w)
+			}
+		},
+	})
+	c.create(cfg)
+	c.ingestAll(cfg.ID, input)
+	c.closeStream(cfg.ID)
+	st := c.waitState(cfg.ID, StateDone, 60*time.Second)
+	if !failed.Load() || st.Restarts != 1 {
+		t.Fatalf("fault injected %v, %d restarts; want one restart after the fault", failed.Load(), st.Restarts)
+	}
+	if st.CheckpointRecords != records {
+		t.Errorf("checkpoint_records = %d, want the final position %d", st.CheckpointRecords, records)
+	}
+	got := c.windows(cfg.ID)
+	if len(got) != len(ref) {
+		t.Errorf("published %d windows, reference %d", len(got), len(ref))
+	}
+	for pos, want := range ref {
+		if got[pos] != want {
+			t.Errorf("window at position %d differs from the reference run", pos)
+		}
+	}
+
+	s := srv.get(cfg.ID)
+	snap := s.mem.Latest()
+	if snap == nil || snap.Records != records {
+		t.Fatalf("newest snapshot %+v, want one at record %d", snap, records)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, it := range s.retained {
+		if it.line <= snap.Records+snap.BadRecords {
+			t.Fatalf("retained line %d is covered by the snapshot at line %d", it.line, snap.Records+snap.BadRecords)
+		}
+	}
+}
+
+// TestMemoryOnlyTailBounded: a memory-only stream with publish_every 0
+// saves no snapshot before its end, so nothing prunes its retained tail.
+// Fed past retainLimit lines it keeps at most retainLimit of them, and it
+// gives up restartability: a fault on its one window quarantines it rather
+// than publishing over the dropped lines.
+func TestMemoryOnlyTailBounded(t *testing.T) {
+	const records = retainLimit + 4000
+	cfg := testConfig("rare", 4)
+	cfg.PublishEvery = 0
+	var failed atomic.Bool
+	srv, c := newTestServer(t, Options{
+		RestartBackoff: time.Millisecond,
+		WrapSink: func(_ string, emit func(pipeline.Window) error) func(pipeline.Window) error {
+			return func(w pipeline.Window) error {
+				if failed.CompareAndSwap(false, true) {
+					return errors.New("injected one-shot sink failure")
+				}
+				return emit(w)
+			}
+		},
+	})
+	c.create(cfg)
+	c.ingestAll(cfg.ID, genInput(t, 4, records))
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		_, st := c.status(cfg.ID)
+		if st.RecordsConsumed == records {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("consumed %d of %d records", st.RecordsConsumed, records)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	s := srv.get(cfg.ID)
+	s.mu.Lock()
+	held, lost := len(s.retained), s.tailLost
+	s.mu.Unlock()
+	if held > retainLimit || lost == 0 {
+		t.Fatalf("retained %d lines (dropped through line %d) after %d consumed; want at most %d", held, lost, records, retainLimit)
+	}
+
+	c.closeStream(cfg.ID)
+	st := c.waitState(cfg.ID, StateQuarantined, 60*time.Second)
+	if !failed.Load() || !strings.Contains(st.LastError, errTailLost.Error()) {
+		t.Fatalf("quarantined with %q; want the dropped tail to refuse the restart", st.LastError)
+	}
+	if len(c.windows(cfg.ID)) != 0 {
+		t.Fatal("a window was published over the dropped lines")
+	}
+}
+
+// TestMemoryOnlyTailHeals: once a snapshot covers the lines a memory-only
+// stream dropped from its retained tail, the stream can restart again, from
+// that snapshot plus the lines past it.
+func TestMemoryOnlyTailHeals(t *testing.T) {
+	st := &stream{tailLost: 100}
+	st.mem = &checkpoint.Memory{OnSave: st.onCheckpointSave}
+	for line := uint64(101); line <= 120; line++ {
+		st.retained = append(st.retained, queueItem{seq: line, line: line})
+	}
+	if _, _, err := st.buildRestart(); !errors.Is(err, errTailLost) {
+		t.Fatalf("restart before a snapshot covers the dropped lines: err %v, want %v", err, errTailLost)
+	}
+	if err := st.mem.Save(&checkpoint.Snapshot{Records: 110}); err != nil {
+		t.Fatal(err)
+	}
+	snap, replay, err := st.buildRestart()
+	if err != nil {
+		t.Fatalf("restart after a snapshot covers the dropped lines: %v", err)
+	}
+	if snap.Records != 110 || len(replay) != 10 || replay[0].line != 111 || replay[9].line != 120 {
+		t.Fatalf("restart from record %d replaying %d lines; want record 110 replaying lines 111..120", snap.Records, len(replay))
 	}
 }
 

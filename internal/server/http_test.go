@@ -38,8 +38,9 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 // TestErrorStatusMapping: 404 for unknown streams, 400 for malformed
-// create bodies (and for raw streams, which would serve true supports),
-// 409 for duplicates, 400 for bad query parameters.
+// create bodies (and for raw streams, which would serve true supports,
+// negative checkpoint knobs, and checkpoint_every without a data dir), 409
+// for duplicates, 400 for bad query parameters.
 func TestErrorStatusMapping(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	c.create(testConfig("dup", 1))
@@ -61,6 +62,12 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"POST", "/v1/streams", `{"id":"biggamma","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"gamma":18}`, http.StatusBadRequest},
 		{"POST", "/v1/streams", `{"id":"okgamma","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"gamma":8}`, http.StatusCreated},
 		{"POST", "/v1/streams", `{"id":"raw","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"raw":true}`, http.StatusBadRequest},
+		// A memory-only stream snapshots every window and takes no
+		// checkpoint_every; the disk-only knobs are still range-checked.
+		{"POST", "/v1/streams", `{"id":"memckpt","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"checkpoint_every":3}`, http.StatusBadRequest},
+		{"POST", "/v1/streams", `{"id":"negevery","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"checkpoint_every":-1}`, http.StatusBadRequest},
+		{"POST", "/v1/streams", `{"id":"negkeep","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"checkpoint_keep":-1}`, http.StatusBadRequest},
+		{"POST", "/v1/streams", `{"id":"negfull","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"checkpoint_full_every":-1}`, http.StatusBadRequest},
 		{"GET", "/v1/streams/dup/windows?from=abc", "", http.StatusBadRequest},
 		{"GET", "/v1/streams/dup/trace", "", http.StatusNotFound}, // created without trace_windows
 	} {

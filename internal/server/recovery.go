@@ -203,11 +203,6 @@ func (s *Server) adopt(id string, e manifestEntry) (parked bool, replayed int, t
 		parked = true
 		st.state = state
 		st.lastErr = cause
-		if st.wal == nil {
-			// Adoption failed before the WAL opened: a later resume has no
-			// replay source, and must refuse rather than restart with a hole.
-			st.replayLost = true
-		}
 		close(st.done)
 		register(state)
 		if fresh {
@@ -239,6 +234,7 @@ func (s *Server) adopt(id string, e manifestEntry) (parked bool, replayed int, t
 	store.Logf = warnf
 	store.OnSave = st.onCheckpointSave
 	st.store = store
+	st.pipeCfg.Checkpoints = store
 	if s.opts.hookStore != nil {
 		s.opts.hookStore(id, store)
 	}
@@ -305,7 +301,6 @@ func (s *Server) adopt(id string, e manifestEntry) (parked bool, replayed int, t
 	st.prevCkptLine = det.AnchorRecords + det.AnchorBadRecords
 
 	vcfg := st.pipeCfg
-	vcfg.Checkpoints = st.store
 	vcfg.Resume = snap
 	if _, err := pipeline.New(vcfg); err != nil {
 		park(StateQuarantined, err.Error(), true)

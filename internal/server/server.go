@@ -14,15 +14,18 @@
 // that panics, stalls, or exhausts its fault budget is restarted from its
 // own checkpoint or quarantined, and the streams around it never notice.
 //
-// Restart determinism: an in-process restart resumes from the newest
-// checkpoint plus a replay of the lines consumed past it. With a data dir
-// the replay comes from the stream's ingest WAL (durable, truncated as
-// checkpoints advance); without one there are no checkpoints, and the
-// restart replays a retained in-memory buffer of every consumed line from
-// the start. If the replay cannot bridge the gap — the memory buffer
-// overflowed ReplayLimit, or the WAL tail is not contiguous with the
-// checkpoint — the stream is quarantined rather than restarted wrong: no
-// replay, no resume.
+// Restart determinism: an in-process restart resumes from the stream's
+// newest checkpoint plus a replay of the lines consumed past it — one path
+// for every stream. With a data dir the checkpoint is the newest readable
+// generation on disk and the replay comes from the stream's ingest WAL
+// (truncated as full checkpoints advance); without one the checkpoint is
+// the snapshot held in memory from the newest published window and the
+// replay is the retained tail of lines consumed since it (pruned at every
+// save, capped at retainLimit lines). If the WAL tail is not contiguous
+// with the checkpoint, a memory-only tail outgrew its cap before a
+// snapshot covered it, or a stream parked at boot has no log to replay,
+// the stream is quarantined rather than restarted wrong: no replay, no
+// resume.
 //
 // Durability of acceptance: with a data dir, every 2xx ingest response
 // means the accepted lines are fsynced to the stream's WAL (and any new
@@ -90,10 +93,6 @@ type Options struct {
 	// RestartBackoff is the initial delay before an in-process restart,
 	// doubling per consecutive failure (default 25ms).
 	RestartBackoff time.Duration
-	// ReplayLimit caps the per-stream replay buffer in records (default
-	// 65536). A memory-only stream that outgrows it loses in-process
-	// restartability and quarantines on its next failure.
-	ReplayLimit int
 	// CheckpointFullEvery is the default full-snapshot compaction interval
 	// for streams that leave checkpoint_full_every unset: every Nth
 	// checkpoint generation is a full snapshot, the generations between are
@@ -145,9 +144,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.RestartBackoff <= 0 {
 		o.RestartBackoff = 25 * time.Millisecond
-	}
-	if o.ReplayLimit <= 0 {
-		o.ReplayLimit = 65536
 	}
 	if o.CheckpointFullEvery <= 0 {
 		o.CheckpointFullEvery = 1
@@ -349,6 +345,14 @@ func (c StreamConfig) validate() error {
 	if c.TraceWindows < 0 {
 		return fmt.Errorf("negative trace windows %d", c.TraceWindows)
 	}
+	// Disk-only knobs: a memory-only stream ignores them, but a negative
+	// value is refused either way.
+	if c.CheckpointKeep < 0 {
+		return fmt.Errorf("negative checkpoint retention %d", c.CheckpointKeep)
+	}
+	if c.CheckpointFullEvery < 0 {
+		return fmt.Errorf("negative full-snapshot interval %d", c.CheckpointFullEvery)
+	}
 	if c.Raw {
 		return errRawRefused
 	}
@@ -380,10 +384,6 @@ type StreamStatus struct {
 	// Durable reports whether acceptance is WAL-backed (server has a data
 	// dir): a 2xx ingest response means the lines survive a kill -9.
 	Durable bool `json:"durable"`
-	// ReplayLost means the in-memory replay buffer overflowed ReplayLimit
-	// (memory-only mode): the stream can no longer restart
-	// deterministically. Always false in durable mode.
-	ReplayLost bool `json:"replay_lost"`
 	// WALSegments is the stream's current ingest-WAL segment count (durable
 	// mode only).
 	WALSegments int `json:"wal_segments,omitempty"`
@@ -401,6 +401,12 @@ func (s *Server) Create(cfg StreamConfig) (StreamStatus, error) {
 	}
 	if err := cfg.validate(); err != nil {
 		return StreamStatus{}, err
+	}
+	if cfg.CheckpointEvery > 0 && s.opts.DataDir == "" {
+		// A memory-only stream snapshots every window: holding a snapshot
+		// costs no I/O, and a sparser cadence would only grow its retained
+		// tail.
+		return StreamStatus{}, fmt.Errorf("stream %s: checkpoint_every requires a server data dir", cfg.ID)
 	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = s.opts.QueueDepth
@@ -443,6 +449,7 @@ func (s *Server) Create(cfg StreamConfig) (StreamStatus, error) {
 		store.Logf = warnf
 		store.OnSave = st.onCheckpointSave
 		st.store, st.lease = store, lease
+		st.pipeCfg.Checkpoints = store
 		if s.opts.hookStore != nil {
 			s.opts.hookStore(cfg.ID, store)
 		}
@@ -499,7 +506,6 @@ func (s *Server) Create(cfg StreamConfig) (StreamStatus, error) {
 	// Validate the full pipeline config (params, window, budgets, resume
 	// fingerprint) before the stream becomes visible.
 	vcfg := st.pipeCfg
-	vcfg.Checkpoints = st.store
 	vcfg.Resume = snap
 	if _, err := pipeline.New(vcfg); err != nil {
 		fail()
@@ -588,11 +594,18 @@ func (s *Server) buildStream(cfg StreamConfig, scheme core.Scheme) (*stream, fun
 		MaxBadRecords:       cfg.MaxBadRecords,
 		EmitRetries:         cfg.EmitRetries,
 		CheckpointEvery:     cfg.CheckpointEvery,
-		CheckpointKeep:      cfg.CheckpointKeep,
 		CheckpointFullEvery: cfg.CheckpointFullEvery,
 		Metrics:             s.opts.Registry,
-		Warnf:               warnf,
 		Trace:               st.tracer,
+	}
+	if s.opts.DataDir == "" {
+		// Memory-only: the stream checkpoints every window to memory, which
+		// keeps only its newest full snapshot. A delta chain would save
+		// nothing there, so every generation is full whatever the server
+		// default says.
+		st.mem = &checkpoint.Memory{OnSave: st.onCheckpointSave}
+		st.pipeCfg.Checkpoints = st.mem
+		st.pipeCfg.CheckpointFullEvery = 1
 	}
 	return st, warnf
 }
@@ -663,7 +676,6 @@ func (s *Server) supervise(st *stream, snap *checkpoint.Snapshot, replay []queue
 	for {
 		cfg := st.pipeCfg
 		cfg.Resume = snap
-		cfg.Checkpoints = st.store
 		st.progress.Store(false)
 		p, err := pipeline.New(cfg)
 		if err != nil {
@@ -689,7 +701,7 @@ func (s *Server) supervise(st *stream, snap *checkpoint.Snapshot, replay []queue
 		// A failed RunContext can return while the mine stage is still
 		// inside a source read; retire the source and wait for that read to
 		// land before inspecting consumption state, or the record it dequeues
-		// would miss the replay buffer and be dropped from the stream.
+		// would miss the replay and be dropped from the stream.
 		qs.retire(cancelRun)
 		// A canceled RunContext can likewise return while the emit stage is
 		// still draining buffered windows — including checkpoint saves. Join
@@ -793,7 +805,8 @@ func (s *Server) Pause(id string) (StreamStatus, error) {
 }
 
 // Resume unpauses a paused stream, or resets a quarantined stream's
-// breaker and restarts it from its newest checkpoint + replay buffer.
+// breaker and restarts it from its newest checkpoint plus the lines
+// consumed past it.
 func (s *Server) Resume(id string) (StreamStatus, error) {
 	if s.draining.Load() {
 		return StreamStatus{}, errDraining

@@ -289,8 +289,16 @@ type diffSpec struct {
 // retried transient sink faults, and three that hard-fail (sink error,
 // sink panic, source error) and must restart from checkpoint + replay —
 // and pins every stream's published windows byte-identical to independent
-// single-stream reference runs.
+// single-stream reference runs. It runs once with a data dir (checkpoints
+// on disk, replay from the WAL) and once without (a snapshot in memory
+// every window, replay from the retained tail).
 func TestDifferentialIdentity(t *testing.T) {
+	for _, durable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) { runDifferential(t, durable) })
+	}
+}
+
+func runDifferential(t *testing.T, durable bool) {
 	specs := []*diffSpec{
 		{cfg: withScheme(testConfig("clean-basic", 1), "basic", 1)},
 		{cfg: testConfig("clean-hybrid", 2)},
@@ -307,7 +315,9 @@ func TestDifferentialIdentity(t *testing.T) {
 	inputs := map[string]string{}
 	refs := map[string]map[int]string{}
 	for i, sp := range specs {
-		sp.cfg.CheckpointEvery = 1
+		if durable {
+			sp.cfg.CheckpointEvery = 1
+		}
 		byID[sp.cfg.ID] = sp
 		input := genInput(t, uint64(100+i), 500)
 		if sp.cfg.ID == "bad-lines" {
@@ -321,7 +331,6 @@ func TestDifferentialIdentity(t *testing.T) {
 	}
 
 	opts := Options{
-		DataDir:         t.TempDir(),
 		Registry:        telemetry.NewRegistry(),
 		BreakerFailures: 4, // one-shot faults must restart, not quarantine
 		RestartBackoff:  time.Millisecond,
@@ -358,6 +367,9 @@ func TestDifferentialIdentity(t *testing.T) {
 				return emit(w)
 			}
 		},
+	}
+	if durable {
+		opts.DataDir = t.TempDir()
 	}
 	_, c := newTestServer(t, opts)
 

@@ -1,14 +1,16 @@
 package server
 
 // Per-stream state: the ingest queue and its RecordSource adapter, the
-// pause gate, the replay buffer that makes in-process restarts
-// deterministic, the published-window store, and the stream state machine.
+// pause gate, the checkpoint and replay inputs that make in-process
+// restarts deterministic, the published-window store, and the stream state
+// machine.
 // The Server (server.go) owns the registry and the supervision loop; the
 // HTTP layer (http.go) translates requests into the methods here.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -95,7 +97,11 @@ type stream struct {
 	// internally synchronized.
 	pipeCfg pipeline.Config
 	vocab   *data.Vocabulary
+	// The checkpoint sink behind pipeCfg.Checkpoints: store with a server
+	// data dir, mem without one. At most one is set; a stream parked at
+	// adoption may have neither.
 	store   *checkpoint.Store
+	mem     *checkpoint.Memory
 	lease   *checkpoint.Lease
 	release sync.Once
 	tracer  *trace.Tracer
@@ -145,8 +151,8 @@ type stream struct {
 	consumed     uint64        // good records pulled from the queue by the source
 	consumedLine uint64        // newest accepted line consumed by the source
 	badSeen      uint64        // malformed lines accepted into the queue
-	retained     []queueItem   // every consumed item, the restart replay (memory-only mode)
-	replayLost   bool          // retained overflowed ReplayLimit; restart is impossible
+	retained     []queueItem   // consumed items past the newest snapshot, the restart replay (memory-only mode)
+	tailLost     uint64        // newest line dropped from retained before a snapshot covered it (memory-only mode)
 	consecFails  int
 	restarts     int
 	lastCkpt     uint64 // Records position of the newest checkpoint saved
@@ -619,8 +625,8 @@ func (st *stream) drainQueue() {
 // (cancellation latency), so the supervisor must retire() the source — and
 // wait for that in-flight read to land in the consumption accounting —
 // before it reads the stream state to build the restart. Without the
-// handshake a record dequeued by the dying run after buildRestart misses
-// the replay buffer and is silently lost.
+// handshake a record dequeued by the dying run after buildRestart is
+// missing from the restart's replay and silently lost.
 type queueSource struct {
 	st     *stream
 	ctx    context.Context
@@ -660,10 +666,10 @@ func (qs *queueSource) end() {
 
 // retire cancels the run context, marks the source dead, and blocks until
 // any in-flight Next call has finished — after which the stream's consumed
-// count and replay buffer are guaranteed to cover everything this run ever
+// count and replay inputs are guaranteed to cover everything this run ever
 // dequeued. cancel wakes a Next blocked on an empty queue; a Next that
 // instead wins the race and dequeues one final record is waited for, and
-// that record lands in the replay buffer rather than being lost.
+// that record lands in the replay rather than being lost.
 func (qs *queueSource) retire(cancel context.CancelFunc) {
 	cancel()
 	qs.mu.Lock()
@@ -695,13 +701,10 @@ func (qs *queueSource) Next() (itemset.Itemset, error) {
 		if qs.next < len(qs.replay) {
 			it := qs.replay[qs.next]
 			qs.next++
-			if st.wal != nil {
-				// WAL replay items after a process restart were never consumed
-				// by this incarnation; the watermarks must advance here. (The
-				// memory-only retained buffer accounted its items when they
-				// were first consumed, so it changes nothing on replay.)
-				st.noteReplayed(it)
-			}
+			// WAL replay items after a process restart were never consumed
+			// by this incarnation, so the watermarks advance here; items an
+			// earlier run already accounted leave them where they are.
+			st.noteReplayed(it)
 			if it.bad != nil {
 				return itemset.Itemset{}, it.bad
 			}
@@ -723,9 +726,18 @@ func (qs *queueSource) Next() (itemset.Itemset, error) {
 	}
 }
 
+// retainLimit bounds a memory-only stream's retained tail. Every published
+// window saves a snapshot that prunes the tail, so only a stream that
+// publishes less often than every retainLimit lines (publish_every 0
+// publishes only at its end) reaches it. Such a stream drops its tail and
+// cannot restart until a snapshot covers the dropped lines: its heap stays
+// bounded whatever its configuration.
+const retainLimit = 1 << 16
+
 // noteConsumed updates the consumption accounting for one freshly-dequeued
-// item and, in memory-only mode, moves it into the retained replay buffer.
-// In durable mode the WAL tail is the replay buffer and nothing is retained.
+// item and, in memory-only mode, appends it to the retained tail, which the
+// next snapshot save prunes. In durable mode the WAL tail is the replay
+// source and nothing is retained.
 func (st *stream) noteConsumed(it queueItem) {
 	st.srv.addInflight(-it.size)
 	var now int64
@@ -744,26 +756,18 @@ func (st *stream) noteConsumed(it queueItem) {
 	if it.line > st.consumedLine {
 		st.consumedLine = it.line
 	}
-	if st.wal != nil {
-		return
+	if st.mem != nil {
+		if len(st.retained) == retainLimit {
+			st.tailLost = st.retained[retainLimit-1].line
+			st.retained = nil
+		}
+		st.retained = append(st.retained, it)
 	}
-	if st.replayLost {
-		return
-	}
-	if len(st.retained) >= st.srv.opts.ReplayLimit {
-		// The stream outgrew the replay budget; give the memory back. A
-		// later restart attempt quarantines cleanly instead of replaying a
-		// gap.
-		st.retained = nil
-		st.replayLost = true
-		return
-	}
-	st.retained = append(st.retained, it)
 }
 
 // noteReplayed advances the consumption watermarks for an item delivered
-// from a WAL replay list — with max semantics, because an in-process
-// restart can replay items an earlier attempt already accounted.
+// from a replay list — with max semantics, because an in-process restart
+// replays items an earlier attempt already accounted.
 func (st *stream) noteReplayed(it queueItem) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -775,11 +779,11 @@ func (st *stream) noteReplayed(it queueItem) {
 	}
 }
 
-// onCheckpointSave runs on every persisted checkpoint generation (wired to
-// checkpoint.Store.OnSave): it advances the checkpoint watermarks and prunes
-// WAL segments. Only durable streams have a checkpoint store, so the
-// memory-only retained buffer is never pruned here: without a checkpoint a
-// memory-only restart replays it from the start.
+// onCheckpointSave runs on every saved checkpoint generation (wired to
+// checkpoint.Store.OnSave or checkpoint.Memory.OnSave): it advances the
+// checkpoint watermarks and drops the replay lines the new checkpoint
+// covers — retained items in memory-only mode, WAL segments in durable
+// mode.
 //
 // Only FULL snapshots move the WAL truncation floor. A delta frame is
 // recoverable only by replaying its whole chain from the anchor full, so
@@ -790,77 +794,98 @@ func (st *stream) noteReplayed(it queueItem) {
 // The truncation additionally lags one full generation on purpose: restart
 // loads the newest READABLE snapshot, and if the newest file is lost to bit
 // rot the fallback generation still needs its WAL tail. The lag costs at
-// most one compaction interval of extra segments.
+// most one compaction interval of extra segments. A memory snapshot cannot
+// rot, so the retained tail is pruned up to the snapshot itself.
 func (st *stream) onCheckpointSave(sv checkpoint.Saved) {
 	st.lastCkptAt.Store(time.Now().UnixNano())
+	line := sv.Records + sv.BadRecords
 	st.mu.Lock()
 	st.lastCkpt = sv.Records
+	if st.mem != nil {
+		// Copy the tail into a fresh array: re-slicing would keep every
+		// covered item reachable through the old one.
+		i := sort.Search(len(st.retained), func(i int) bool { return st.retained[i].line > line })
+		st.retained = append([]queueItem(nil), st.retained[i:]...)
+		st.mu.Unlock()
+		return
+	}
 	if !sv.Full {
 		st.mu.Unlock()
 		return
 	}
 	horizon := st.prevCkptLine
-	st.prevCkptLine = sv.Records + sv.BadRecords
+	st.prevCkptLine = line
 	st.mu.Unlock()
 	if err := st.wal.TruncateBefore(horizon); err != nil {
 		st.srv.log.Warn("wal truncation failed", "stream", st.id, "error", err.Error())
 	}
 }
 
-// buildRestart assembles the deterministic-restart inputs: the resume
-// snapshot (nil for a from-scratch restart) and the lines past it to
-// replay — read back from the WAL in durable mode, or taken from the
-// retained buffer in memory-only mode (verifying it actually covers the gap
-// between the snapshot and the consumption point). Lines are selected by
-// line, not seq: a malformed line right after the checkpointed record
-// carries that record's seq but lies past the checkpoint.
+// errNoReplaySource refuses to restart a durable stream parked at adoption
+// before its WAL opened: without the log, the lines past its checkpoint
+// are unknown, and a restart would publish over a hole.
+var errNoReplaySource = errors.New("the stream has no ingest log to replay; restart is impossible")
+
+// errTailLost refuses to restart a memory-only stream that dropped lines
+// from its retained tail (retainLimit) which its newest snapshot does not
+// cover: a restart would publish over the hole.
+var errTailLost = errors.New("the retained tail outgrew its bound before a snapshot covered it; restart is impossible")
+
+// buildRestart assembles the deterministic-restart inputs: the newest
+// snapshot (nil before the first save) and the lines past it to replay —
+// the retained tail in memory-only mode, read back from the WAL in durable
+// mode. Lines are selected by line, not seq: a malformed line right after
+// the checkpointed record carries that record's seq but lies past the
+// checkpoint.
 func (st *stream) buildRestart() (snap *checkpoint.Snapshot, replay []queueItem, err error) {
-	if st.store != nil {
-		snap, _, err = st.store.Latest()
-		if err != nil {
-			return nil, nil, fmt.Errorf("loading restart checkpoint: %w", err)
+	switch {
+	case st.mem != nil:
+		// Each save drops the lines it covers, so the tail is exactly the
+		// lines past the newest snapshot — unless it outgrew retainLimit
+		// since.
+		snap = st.mem.Latest()
+		var ckptLine uint64
+		if snap != nil {
+			ckptLine = snap.Records + snap.BadRecords
 		}
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if st.tailLost > ckptLine {
+			return nil, nil, errTailLost
+		}
+		return snap, append([]queueItem(nil), st.retained...), nil
+	case st.wal == nil:
+		return nil, nil, errNoReplaySource
 	}
-	// The replay starts after record from, at line ckptLine+1.
-	var from, ckptLine uint64
+	if snap, _, err = st.store.Latest(); err != nil {
+		return nil, nil, fmt.Errorf("loading restart checkpoint: %w", err)
+	}
+	// The replay starts at line ckptLine+1.
+	var ckptLine uint64
 	if snap != nil {
-		from, ckptLine = snap.Records, snap.Records+snap.BadRecords
+		ckptLine = snap.Records + snap.BadRecords
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.consumed < from {
+	if snap != nil && st.consumed < snap.Records {
 		// Failed while still dropping the prefix of a create with resume:
 		// the stream re-presents its lines from 1, so replay everything
 		// consumed so far and let the run skip the prefix again (runSource).
-		from, ckptLine = 0, 0
+		ckptLine = 0
 	}
-	if st.wal != nil {
-		// The replay bound: everything the pipeline may already have seen.
-		// consumedLine covers this incarnation's consumption; walBase covers
-		// lines recovered at adoption (never in this process's queue). Lines
-		// past the bound are still queued and will arrive normally.
-		bound := st.consumedLine
-		if st.walBase > bound {
-			bound = st.walBase
-		}
-		recs, terr := st.wal.Tail(ckptLine, bound)
-		if terr != nil {
-			return nil, nil, fmt.Errorf("wal replay: %w", terr)
-		}
-		return snap, walItems(recs), nil
+	// The replay bound: everything the pipeline may already have seen.
+	// consumedLine covers this incarnation's consumption; walBase covers
+	// lines recovered at adoption (never in this process's queue). Lines
+	// past the bound are still queued and will arrive normally.
+	bound := st.consumedLine
+	if st.walBase > bound {
+		bound = st.walBase
 	}
-	if st.replayLost {
-		return nil, nil, fmt.Errorf("replay buffer overflowed ReplayLimit; cannot restart deterministically")
+	recs, terr := st.wal.Tail(ckptLine, bound)
+	if terr != nil {
+		return nil, nil, fmt.Errorf("wal replay: %w", terr)
 	}
-	for _, it := range st.retained {
-		if it.line > ckptLine {
-			replay = append(replay, it)
-		}
-	}
-	if gap := verifyReplay(replay, from, st.consumed); gap != "" {
-		return nil, nil, fmt.Errorf("replay buffer %s", gap)
-	}
-	return snap, replay, nil
+	return snap, walItems(recs), nil
 }
 
 // runSource is one run's record source. A resumed run starts AT snap, as
@@ -886,25 +911,6 @@ func walItems(recs []wal.Record) []queueItem {
 		items = append(items, queueItem{rec: r.Rec, bad: r.Bad, seq: r.Seq, line: r.Line})
 	}
 	return items
-}
-
-// verifyReplay checks that the good records in replay are exactly
-// from+1 .. to, in order; it returns a description of the gap otherwise.
-func verifyReplay(replay []queueItem, from, to uint64) string {
-	next := from + 1
-	for _, it := range replay {
-		if it.bad != nil {
-			continue
-		}
-		if it.seq != next {
-			return fmt.Sprintf("skips from record %d to %d", next-1, it.seq)
-		}
-		next++
-	}
-	if next != to+1 {
-		return fmt.Sprintf("ends at record %d, need %d", next-1, to)
-	}
-	return ""
 }
 
 // ---- emit ----
@@ -1049,7 +1055,6 @@ func (st *stream) status() StreamStatus {
 		Scheme:              scheme,
 		AcceptedLines:       st.lines,
 		Durable:             st.wal != nil,
-		ReplayLost:          st.replayLost,
 		WALSegments:         segs,
 		LastCheckpointAge:   ckptAge,
 	}

@@ -3,8 +3,8 @@
 // group-fsynced before the 2xx leaves the server, so a kill -9 of the
 // daemon loses nothing it acknowledged. The multi-stream server replays the
 // log tail past the newest recovered checkpoint through its
-// deterministic-restart path at boot (see internal/server), replacing the
-// in-memory retained buffer and its ReplayLimit failure mode. The log is
+// deterministic-restart path at boot (see internal/server), as a
+// memory-only stream replays its retained in-memory tail. The log is
 // truncated only up to full-snapshot anchors — never delta frames — so the
 // tail always covers everything past the anchor and a lost or corrupt delta
 // chain costs replay time, not data (see TruncateBefore).
