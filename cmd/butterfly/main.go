@@ -426,10 +426,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		// partial run, not a stream defect — fall through to the summary.
 		if !(drain.Stopped() && errors.Is(err, pipeline.ErrShortStream)) {
 			logger.Error("aborting", "error", err.Error())
-			// The aborted-run summary prints the SAME counters as a clean
-			// run — sourced from the telemetry registry, so the two paths
-			// cannot diverge and bad-record/retry counts are never lost.
-			printSummary(stdout, reg, rep, "aborted", *traceOut)
+			// The aborted-run summary prints the SAME counts as a clean
+			// run — sourced from the run's Report, so the two paths cannot
+			// diverge and bad-record/retry counts are never lost.
+			printSummary(stdout, rep, "aborted", *traceOut)
 			return err
 		}
 	}
@@ -437,39 +437,39 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if drain.Stopped() {
 		status = "interrupted"
 	}
-	printSummary(stdout, reg, rep, status, *traceOut)
+	printSummary(stdout, rep, status, *traceOut)
 	return nil
 }
 
-// printSummary renders the end-of-run summary block from the telemetry
-// registry — the single source the clean, signal-drained and aborted exits
-// all share. Only the quarantine detail lines come from the Report (the
-// registry holds counts, not line text). status is "" for a clean run,
-// "interrupted" for a signal drain, "aborted" for a failed run; tracePath
-// names the -trace-out file flushed at exit ("" when tracing to a file is
-// off).
-func printSummary(w io.Writer, reg *telemetry.Registry, rep *pipeline.Report, status, tracePath string) {
+// printSummary renders the end-of-run summary block from the run's Report
+// — the single source the clean, signal-drained and aborted exits all
+// share; a resumed run's Report continues the snapshot's record counts, so
+// the summary spans the whole stream. rep is nil only when the run failed
+// before consuming anything. status is "" for a clean run, "interrupted"
+// for a signal drain, "aborted" for a failed run; tracePath names the
+// -trace-out file flushed at exit ("" when tracing to a file is off).
+func printSummary(w io.Writer, rep *pipeline.Report, status, tracePath string) {
+	if rep == nil {
+		rep = &pipeline.Report{}
+	}
 	switch status {
 	case "interrupted":
 		fmt.Fprintf(w, "# interrupted: the summary reflects a partial stream\n")
 	case "aborted":
 		fmt.Fprintf(w, "# aborted: the summary reflects a partial stream\n")
 	}
-	fmt.Fprintf(w, "# %d window(s) published over %d records\n",
-		reg.CounterValue(pipeline.MetricWindows), reg.CounterValue(pipeline.MetricRecords))
-	if bad := reg.CounterValue(pipeline.MetricBadRecords); bad > 0 {
-		fmt.Fprintf(w, "# %d malformed record(s) skipped\n", bad)
-		if rep != nil {
-			for _, b := range rep.Quarantined {
-				fmt.Fprintf(w, "#   %s\n", b.String())
-			}
+	fmt.Fprintf(w, "# %d window(s) published over %d records\n", rep.Published, rep.Records)
+	if rep.BadRecords > 0 {
+		fmt.Fprintf(w, "# %d malformed record(s) skipped\n", rep.BadRecords)
+		for _, b := range rep.Quarantined {
+			fmt.Fprintf(w, "#   %s\n", b.String())
 		}
 	}
-	if retries := reg.CounterValue(pipeline.MetricRetries); retries > 0 {
-		fmt.Fprintf(w, "# %d transient failure(s) absorbed by retries\n", retries)
+	if rep.Retries > 0 {
+		fmt.Fprintf(w, "# %d transient failure(s) absorbed by retries\n", rep.Retries)
 	}
-	if ckpts := reg.CounterValue(pipeline.MetricCheckpoints); ckpts > 0 {
-		fmt.Fprintf(w, "# %d checkpoint(s) written\n", ckpts)
+	if rep.Checkpoints > 0 {
+		fmt.Fprintf(w, "# %d checkpoint(s) written\n", rep.Checkpoints)
 	}
 	if tracePath != "" {
 		fmt.Fprintf(w, "# trace: %s\n", tracePath)

@@ -1,12 +1,11 @@
 package mining_test
 
-// Cross-miner differential harness: the repository deliberately carries four
-// independent frequent-itemset miners (levelwise Apriori, vertical-bitmap
-// Eclat — serial and sharded-parallel — FP-growth, and the incremental
-// Moment tree). These tests pin them to each other on a corpus of seeded
-// random databases: every miner must produce the exact same
-// (itemset, support) map at every minimum support, and Moment must keep
-// agreeing after every sliding-window update.
+// Cross-miner differential harness: the pipeline mines with the incremental
+// Moment tree, and the repository keeps two independent per-window miners
+// (levelwise Apriori and vertical-bitmap Eclat) as its oracles. These tests
+// pin them to each other on a corpus of seeded random databases: every
+// miner must produce the exact same (itemset, support) map at every minimum
+// support, and Moment must keep agreeing after every sliding-window update.
 
 import (
 	"fmt"
@@ -100,12 +99,6 @@ func TestMinersAgreeOnRandomDatabases(t *testing.T) {
 			}
 			diffResults(t, fmt.Sprintf("seed %d minsup %d: Eclat", seed, minsup), wantMap, resultMap(eclat))
 
-			fp, err := mining.FPGrowth(db, minsup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffResults(t, fmt.Sprintf("seed %d minsup %d: FPGrowth", seed, minsup), wantMap, resultMap(fp))
-
 			if t.Failed() {
 				t.Fatalf("stopping after first disagreeing database (seed %d)", seed)
 			}
@@ -115,7 +108,7 @@ func TestMinersAgreeOnRandomDatabases(t *testing.T) {
 
 // TestMomentAgreesAcrossSlides streams random records through the Moment
 // miner and, on a cadence of window slides, re-mines the materialized window
-// with all three per-window miners, requiring exact agreement each time.
+// with both per-window miners, requiring exact agreement each time.
 func TestMomentAgreesAcrossSlides(t *testing.T) {
 	const (
 		capacity = 40
@@ -148,11 +141,6 @@ func TestMomentAgreesAcrossSlides(t *testing.T) {
 				t.Fatal(err)
 			}
 			diffResults(t, fmt.Sprintf("seed %d pos %d: Eclat", seed, i), wantMap, resultMap(eclat))
-			fp, err := mining.FPGrowth(db, minsup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffResults(t, fmt.Sprintf("seed %d pos %d: FPGrowth", seed, i), wantMap, resultMap(fp))
 			if t.Failed() {
 				t.Fatalf("stopping after first disagreeing window (seed %d, position %d)", seed, i)
 			}

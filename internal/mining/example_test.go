@@ -7,8 +7,8 @@ import (
 	"repro/internal/mining"
 )
 
-// ExampleEclat mines a toy basket database; all three per-window miners
-// (Apriori, Eclat, FPGrowth) return identical results.
+// ExampleEclat mines a toy basket database; both per-window miners
+// (Apriori, Eclat) return identical results.
 func ExampleEclat() {
 	db := itemset.NewDatabase([]itemset.Itemset{
 		itemset.New(0, 1),    // {a,b}

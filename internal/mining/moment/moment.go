@@ -67,8 +67,7 @@ type node struct {
 func (n *node) level1() bool { return n.set.Len() == 1 }
 
 // New creates a Miner over a sliding window of the given capacity with the
-// given minimum support C. It panics on non-positive arguments, matching the
-// construction-time contract of stream.NewWindow.
+// given minimum support C. It panics on non-positive arguments.
 func New(capacity, minSupport int) *Miner {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("moment: window capacity %d must be positive", capacity))

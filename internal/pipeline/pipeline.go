@@ -131,10 +131,11 @@ type Config struct {
 	// well-formed record, malformed lines included; a source that
 	// re-presents the stream from its first record drops the prefix with
 	// FastForward (or SkipSource) first. The run continues the snapshot's
-	// record and bad-record counts, so the Report, the record counters and
-	// the MaxBadRecords budget span the whole stream, and it publishes the
-	// remaining windows byte-identically to an uninterrupted run. The
-	// snapshot's configuration fingerprint must match this Config.
+	// record and bad-record counts, so the Report and the MaxBadRecords
+	// budget span the whole stream (the telemetry counters count only the
+	// records this run consumes), and it publishes the remaining windows
+	// byte-identically to an uninterrupted run. The snapshot's
+	// configuration fingerprint must match this Config.
 	Resume *checkpoint.Snapshot
 
 	// Metrics, when non-nil, receives the run's telemetry:
@@ -412,7 +413,7 @@ func (p *Pipeline) RunContext(ctx context.Context, src RecordSource, emit func(W
 	if rs := p.cfg.Resume; rs != nil {
 		// Restore before any stage starts: rebuild the miner from the
 		// snapshot's window buffer and restore the publisher. The source
-		// already starts past the snapshot, so the run's counts continue
+		// already starts past the snapshot, so the run's Report continues
 		// from it. The resume span covers exactly this restore.
 		t0 := time.Now()
 		if err := p.cfg.verifyResume(rs); err != nil {

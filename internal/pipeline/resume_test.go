@@ -22,6 +22,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/itemset"
 	"repro/internal/pipeline"
+	"repro/internal/telemetry"
 )
 
 // The fixture publishes 61 windows: window size 60 over 300 records,
@@ -336,6 +337,86 @@ func TestResumeBadRecordBudgetSpansRestart(t *testing.T) {
 	got := run(cfg, in.sourceAfter(int(snap.Records)), func(pipeline.Window) error { return nil })
 	if got == nil || got.Error() != want.Error() {
 		t.Fatalf("resumed run: %v\nwant the uninterrupted run's failure: %v", got, want)
+	}
+}
+
+// countingSource counts what the mine stage pulls from src: well-formed
+// records and malformed lines.
+type countingSource struct {
+	src       pipeline.RecordSource
+	good, bad uint64
+}
+
+func (c *countingSource) Next() (itemset.Itemset, error) {
+	rec, err := c.src.Next()
+	var pe *data.ParseError
+	switch {
+	case err == nil:
+		c.good++
+	case errors.As(err, &pe):
+		c.bad++
+	}
+	return rec, err
+}
+
+// TestResumeCountersCountConsumedRecords: a killed run and a run resumed
+// from its snapshot share one registry, as the streams of one butterflyd
+// process do. The record counters count exactly what the two runs pulled
+// from their sources (the resumed run does not add the snapshot's prefix
+// again), while the resumed Report still spans the whole stream.
+func TestResumeCountersCountConsumedRecords(t *testing.T) {
+	in := withBadLines(testRecords(t, resumeRecords))
+	reg := telemetry.NewRegistry()
+	store, err := checkpoint.NewStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := resumeConfig(2, store, 1)
+	cfg.MaxBadRecords = -1
+	cfg.Metrics = reg
+	run := func(cfg pipeline.Config, src *countingSource, emit func(pipeline.Window) error) (*pipeline.Report, error) {
+		p, err := pipeline.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.RunContext(context.Background(), src, emit)
+		// Join the stages: the mine stage may still be pulling records.
+		p.Wait()
+		return rep, err
+	}
+	const kill = 20
+	delivered := 0
+	first := &countingSource{src: in.sourceAfter(0)}
+	if _, err := run(cfg, first, func(pipeline.Window) error {
+		if delivered == kill {
+			return errKilled
+		}
+		delivered++
+		return nil
+	}); !errors.Is(err, errKilled) {
+		t.Fatalf("killed run: %v, want the simulated kill", err)
+	}
+	snap, _, err := store.Latest()
+	if err != nil || snap == nil {
+		t.Fatalf("no snapshot: %v", err)
+	}
+	cfg.Resume = snap
+	second := &countingSource{src: in.sourceAfter(int(snap.Records))}
+	rep, err := run(cfg, second, func(pipeline.Window) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.CounterValue(pipeline.MetricRecords), first.good+second.good; got != want {
+		t.Errorf("%s = %d, want the %d records the two runs consumed (snapshot at record %d)",
+			pipeline.MetricRecords, got, want, snap.Records)
+	}
+	if got, want := reg.CounterValue(pipeline.MetricBadRecords), first.bad+second.bad; got != want {
+		t.Errorf("%s = %d, want the %d malformed lines the two runs consumed (snapshot holds %d)",
+			pipeline.MetricBadRecords, got, want, snap.BadRecords)
+	}
+	if rep.Records != resumeRecords || rep.BadRecords != int(in.badBefore(resumeRecords)) {
+		t.Errorf("resumed report counts %d records and %d bad, want the whole stream's %d and %d",
+			rep.Records, rep.BadRecords, resumeRecords, in.badBefore(resumeRecords))
 	}
 }
 

@@ -192,9 +192,12 @@ func (r *runState) snapshot() *Report {
 	return &rep
 }
 
-// The add* methods keep the Report and the telemetry counters in lockstep:
-// both are written at the same call sites, so the CLI summary (sourced from
-// telemetry) and the Report can never disagree.
+// The add* methods write the Report and the telemetry counters at the same
+// call sites, so within one run both count the same events. The one
+// difference is a resumed run's starting point: the Report continues the
+// snapshot's counts (seedCounts), while a counter counts only what the run
+// reads, so a registry shared across restarts never adds a snapshot's
+// prefix again.
 
 func (r *runState) addRecord() {
 	r.mu.Lock()
@@ -203,16 +206,12 @@ func (r *runState) addRecord() {
 	r.metrics.addRecord()
 }
 
-// seedCounts continues a resumed run's counts from its snapshot, so the
-// Report, the counters and the bad-record budget span the whole stream.
+// seedCounts continues a resumed run's Report from its snapshot, so the
+// Report and the bad-record budget span the whole stream.
 func (r *runState) seedCounts(s *checkpoint.Snapshot) {
 	r.mu.Lock()
 	r.report.Records, r.report.BadRecords = int(s.Records), int(s.BadRecords)
 	r.mu.Unlock()
-	if m := r.metrics; m != nil {
-		m.records.Add(s.Records)
-		m.badRecords.Add(s.BadRecords)
-	}
 }
 
 func (r *runState) addPublished() { r.mu.Lock(); r.report.Published++; r.mu.Unlock() }

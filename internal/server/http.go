@@ -6,6 +6,7 @@ package server
 // an "error" field plus Retry-After where a retry is the right move.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,14 +55,21 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 // parseCreateRequest decodes and validates a create-stream body. Split out
 // (and fuzzed) separately from the handler: this is the server's largest
-// attacker-controlled surface.
+// attacker-controlled surface. An unknown field is refused rather than
+// ignored: a client asking for something this server does not do must get
+// a 400, not a stream that silently lacks it.
 func parseCreateRequest(body []byte) (StreamConfig, error) {
 	var cfg StreamConfig
 	if len(body) == 0 {
 		return cfg, fmt.Errorf("empty request body")
 	}
-	if err := json.Unmarshal(body, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return cfg, fmt.Errorf("decoding create request: %w", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return cfg, fmt.Errorf("decoding create request: trailing data after the JSON object")
 	}
 	if err := cfg.validate(); err != nil {
 		return cfg, err

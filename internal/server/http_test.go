@@ -62,6 +62,10 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"POST", "/v1/streams", `{"id":"biggamma","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"gamma":18}`, http.StatusBadRequest},
 		{"POST", "/v1/streams", `{"id":"okgamma","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"gamma":8}`, http.StatusCreated},
 		{"POST", "/v1/streams", `{"id":"raw","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"raw":true}`, http.StatusBadRequest},
+		// Unknown fields are refused, not ignored: a create cannot resume.
+		{"POST", "/v1/streams", `{"id":"resume","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"resume":true}`, http.StatusBadRequest},
+		{"POST", "/v1/streams", `{"id":"unknown","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"no_such_knob":1}`, http.StatusBadRequest},
+		{"POST", "/v1/streams", `{"id":"trailing","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5} {}`, http.StatusBadRequest},
 		// A memory-only stream snapshots every window and takes no
 		// checkpoint_every; the disk-only knobs are still range-checked.
 		{"POST", "/v1/streams", `{"id":"memckpt","window":100,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"checkpoint_every":3}`, http.StatusBadRequest},

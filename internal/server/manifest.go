@@ -41,9 +41,10 @@ const (
 
 // manifestEntry is one stream's durable record.
 type manifestEntry struct {
-	// Config is the validated create-time config, with Resume cleared: a
-	// re-adopted stream resumes from its own checkpoint + WAL, never from a
-	// client replay.
+	// Config is the validated create-time config. A re-adopted stream
+	// resumes from its own checkpoint + WAL. Decoding ignores unknown keys,
+	// so an entry written with a since-removed field (such as "resume")
+	// still loads.
 	Config StreamConfig `json:"config"`
 	// Fingerprint pins the pipeline parameters the stream's checkpoints and
 	// WAL were written under; a mismatch at adoption quarantines the stream

@@ -177,7 +177,6 @@ func (s *Server) recordRecovery(rep RecoverReport) {
 func (s *Server) adopt(id string, e manifestEntry) (parked bool, replayed int, tm adoptTiming) {
 	cfg := e.Config
 	cfg.ID = id
-	cfg.Resume = false
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = s.opts.QueueDepth
 	}

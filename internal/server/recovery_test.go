@@ -16,6 +16,7 @@ package server
 // CI runs these race-enabled.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -585,11 +586,25 @@ func TestRecoverOrphanSweep(t *testing.T) {
 }
 
 // TestStreamGC pins durable-footprint reclamation: a drained (done) stream
-// and a deleted stream both lose their manifest entry and directory, and a
-// subsequent recovery adopts nothing.
+// and a deleted stream both lose their manifest entry and directory, a
+// create the pipeline rejects never makes one, and a subsequent recovery
+// adopts nothing.
 func TestStreamGC(t *testing.T) {
 	root := t.TempDir()
 	srv, c := newTestServer(t, Options{DataDir: root})
+
+	rejected := testConfig("rejected", 1)
+	rejected.Window = 0
+	b, err := json.Marshal(rejected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := c.do("POST", "/v1/streams", bytes.NewReader(b)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create with window 0: %d %s, want 400", resp.StatusCode, body)
+	}
+	if _, err := os.Stat(filepath.Join(root, "streams", "rejected")); !os.IsNotExist(err) {
+		t.Errorf("rejected create left its stream directory behind (stat: %v)", err)
+	}
 
 	c.create(testConfig("drained", 1))
 	c.ingestAll("drained", genInput(t, 2, 150))
@@ -619,6 +634,96 @@ func TestStreamGC(t *testing.T) {
 	}
 	if rep.Adopted != 0 || rep.Parked != 0 {
 		t.Fatalf("gc'd streams were re-adopted: %+v", rep)
+	}
+}
+
+// editManifest rewrites the manifest under root as raw JSON, the way an
+// older binary or an operator might have left it.
+func editManifest(t *testing.T, root string, edit func(streams map[string]map[string]any)) {
+	t.Helper()
+	path := filepath.Join(root, "manifest.json")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mf struct {
+		Version int                       `json:"version"`
+		Streams map[string]map[string]any `json:"streams"`
+	}
+	if err := json.Unmarshal(b, &mf); err != nil {
+		t.Fatal(err)
+	}
+	edit(mf.Streams)
+	if b, err = json.Marshal(mf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverDeleteParkedStream: a stream parked at boot before its lease
+// and store opened (its scheme no longer parses) stays deleted — the
+// delete drops its manifest entry, and the next boot sweeps the directory
+// it never held as an orphan instead of parking the stream again.
+func TestRecoverDeleteParkedStream(t *testing.T) {
+	root := t.TempDir()
+	srv1, c1 := newTestServer(t, Options{DataDir: root})
+	c1.create(testConfig("x", 1))
+	c1.ingestAll("x", genInput(t, 2, 120))
+	srv1.Abort()
+	editManifest(t, root, func(streams map[string]map[string]any) {
+		streams["x"]["config"].(map[string]any)["scheme"] = "retired-scheme"
+	})
+
+	srv2, c2 := newTestServer(t, Options{DataDir: root})
+	if rep, err := srv2.Recover(); err != nil || rep.Parked != 1 {
+		t.Fatalf("recover: %+v, %v; want x parked", rep, err)
+	}
+	if _, st := c2.status("x"); st.State != StateQuarantined {
+		t.Fatalf("x adopted as %q, want quarantined", st.State)
+	}
+	if resp, body := c2.do("DELETE", "/v1/streams/x", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %d %s", resp.StatusCode, body)
+	}
+	srv2.Abort()
+
+	srv3, c3 := newTestServer(t, Options{DataDir: root})
+	rep, err := srv3.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if code, st := c3.status("x"); code != http.StatusNotFound {
+		t.Fatalf("deleted stream came back: %d %+v", code, st)
+	}
+	if rep.Parked != 0 || len(rep.Orphans) != 1 || rep.Orphans[0] != "x" {
+		t.Fatalf("recover after delete: %+v, want x swept as an orphan", rep)
+	}
+}
+
+// TestRecoverManifestWithRetiredField: manifest decoding stays lenient, so
+// an entry carrying a config key this build no longer has (older builds
+// stored "resume": false in every entry) is still adopted.
+func TestRecoverManifestWithRetiredField(t *testing.T) {
+	root := t.TempDir()
+	srv1, c1 := newTestServer(t, Options{DataDir: root})
+	c1.create(testConfig("old", 1))
+	c1.ingestAll("old", genInput(t, 2, 120))
+	srv1.Abort()
+	editManifest(t, root, func(streams map[string]map[string]any) {
+		streams["old"]["config"].(map[string]any)["resume"] = false
+	})
+
+	srv2, c2 := newTestServer(t, Options{DataDir: root})
+	rep, err := srv2.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if rep.Adopted != 1 || rep.Parked != 0 {
+		t.Fatalf("recover adopted %d / parked %d, want 1/0", rep.Adopted, rep.Parked)
+	}
+	if _, st := c2.status("old"); st.State != StateRunning || st.AcceptedLines != 120 {
+		t.Fatalf("old stream adopted as %q with %d lines, want running with 120", st.State, st.AcceptedLines)
 	}
 }
 

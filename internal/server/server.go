@@ -32,7 +32,9 @@
 // vocabulary tokens to its journal) before they are visible to the
 // pipeline, the stream manifest records every admitted stream atomically,
 // and Recover rebuilds the whole registry — checkpoints, WAL tails,
-// quarantine states — after a kill -9 with nothing accepted lost.
+// quarantine states — after a kill -9 with nothing accepted lost. Recover
+// is the only way a stream continues from state an earlier process left:
+// a create always starts a new stream.
 package server
 
 import (
@@ -119,9 +121,9 @@ type Options struct {
 	WrapSink   func(id string, emit func(pipeline.Window) error) func(pipeline.Window) error
 
 	// hookStore / hookWAL, when non-nil, observe each stream's checkpoint
-	// store and WAL just after they are opened (create, resume, or boot
-	// adoption) — the crash-injection seam the recovery differential suite
-	// uses to install CrashHooks. Test-only, same package.
+	// store and WAL just after they are opened (create or boot adoption) —
+	// the crash-injection seam the recovery differential suite uses to
+	// install CrashHooks. Test-only, same package.
 	hookStore func(id string, store *checkpoint.Store)
 	hookWAL   func(id string, lg *wal.Log)
 }
@@ -268,7 +270,10 @@ var (
 )
 
 // StreamConfig is the create-stream request: the standalone pipeline's
-// knobs plus the stream's service envelope (queue depth, history, resume).
+// knobs plus the stream's service envelope (queue depth, history,
+// checkpoint cadence, tracing). A create always starts a new stream; a
+// stream continues from its own checkpoint only through an in-process
+// restart or boot Recover.
 type StreamConfig struct {
 	ID string `json:"id"`
 
@@ -312,11 +317,6 @@ type StreamConfig struct {
 	// none (the trace endpoint answers 404). Either way, with a server
 	// registry the stream's spans feed butterfly_trace_span_seconds.
 	TraceWindows int `json:"trace_windows"`
-	// Resume restores the stream from its newest checkpoint. The client
-	// must then replay the stream's records from the beginning — the
-	// stream drops the prefix the checkpoint covers (pipeline.FastForward)
-	// and continues byte-identically (see pipeline.Config.Resume).
-	Resume bool `json:"resume"`
 }
 
 // streamIDPattern admits ids that are safe as checkpoint directory names
@@ -429,95 +429,63 @@ func (s *Server) Create(cfg StreamConfig) (StreamStatus, error) {
 		s.nstreams.Add(-1)
 		return StreamStatus{}, fmt.Errorf("%w (%d)", errTooManyStreams, s.opts.MaxStreams)
 	}
-	undo := func() { s.nstreams.Add(-1) }
 
 	st, warnf := s.buildStream(cfg, scheme)
+	fail := func(err error) (StreamStatus, error) {
+		st.stop()
+		st.closeDurable()
+		st.releaseLease()
+		s.nstreams.Add(-1)
+		return StreamStatus{}, err
+	}
+
+	// Validate the full pipeline config (params, window, budgets) before
+	// anything touches the disk, so a rejected create leaves no directory
+	// behind. A durable stream's store opens below; until then a memory
+	// sink stands in for it.
+	vcfg := st.pipeCfg
+	if vcfg.Checkpoints == nil {
+		vcfg.Checkpoints = &checkpoint.Memory{}
+	}
+	if _, err := pipeline.New(vcfg); err != nil {
+		return fail(err)
+	}
 
 	if s.opts.DataDir != "" {
 		dir := s.streamDir(cfg.ID)
 		lease, err := checkpoint.AcquireLease(dir, s.opts.Owner)
 		if err != nil {
-			undo()
-			return StreamStatus{}, fmt.Errorf("stream %s: %w", cfg.ID, err)
+			return fail(fmt.Errorf("stream %s: %w", cfg.ID, err))
 		}
+		st.lease = lease
 		store, err := checkpoint.NewStore(dir, cfg.CheckpointKeep)
 		if err != nil {
-			lease.Release()
-			undo()
-			return StreamStatus{}, err
+			return fail(err)
 		}
 		store.Logf = warnf
 		store.OnSave = st.onCheckpointSave
-		st.store, st.lease = store, lease
+		st.store = store
 		st.pipeCfg.Checkpoints = store
 		if s.opts.hookStore != nil {
 			s.opts.hookStore(cfg.ID, store)
 		}
-		// A create (fresh or resume) starts the client's line space at zero:
-		// any WAL tail or token journal a predecessor left behind is in a
-		// coordinate space this incarnation does not share. A resume keeps
-		// the checkpoints — the client replays from the beginning and the
-		// stream skips the covered prefix — while a fresh create wipes those
-		// too.
-		if err := wipeDurableLog(dir); err != nil {
-			st.releaseLease()
-			undo()
-			return StreamStatus{}, fmt.Errorf("stream %s: clearing stale wal: %w", cfg.ID, err)
-		}
-		if !cfg.Resume {
-			if err := wipeCheckpoints(store); err != nil {
-				st.releaseLease()
-				undo()
-				return StreamStatus{}, fmt.Errorf("stream %s: clearing stale checkpoints: %w", cfg.ID, err)
-			}
+		// A create starts the client's line space at zero: whatever WAL,
+		// token journal or checkpoints a predecessor of the same id left in
+		// the directory (a delete that could not reclaim it) belong to
+		// another stream.
+		if err := wipeDurable(dir, store); err != nil {
+			return fail(fmt.Errorf("stream %s: clearing stale state: %w", cfg.ID, err))
 		}
 		if _, err := st.openDurable(dir, warnf); err != nil {
-			st.closeDurable()
-			st.releaseLease()
-			undo()
-			return StreamStatus{}, fmt.Errorf("stream %s: %w", cfg.ID, err)
+			return fail(fmt.Errorf("stream %s: %w", cfg.ID, err))
 		}
-	}
-
-	fail := func() {
-		st.closeDurable()
-		st.releaseLease()
-		undo()
-	}
-
-	var snap *checkpoint.Snapshot
-	if cfg.Resume {
-		if st.store == nil {
-			fail()
-			return StreamStatus{}, fmt.Errorf("stream %s: resume requires a server data dir", cfg.ID)
-		}
-		snap, _, err = st.store.Latest()
-		if err != nil {
-			fail()
-			return StreamStatus{}, fmt.Errorf("stream %s: loading resume checkpoint: %w", cfg.ID, err)
-		}
-		if snap == nil {
-			fail()
-			return StreamStatus{}, fmt.Errorf("stream %s: no checkpoint to resume from", cfg.ID)
-		}
-		st.lastCkpt = snap.Records
-	}
-
-	// Validate the full pipeline config (params, window, budgets, resume
-	// fingerprint) before the stream becomes visible.
-	vcfg := st.pipeCfg
-	vcfg.Resume = snap
-	if _, err := pipeline.New(vcfg); err != nil {
-		fail()
-		return StreamStatus{}, err
 	}
 
 	sh := s.shard(cfg.ID)
 	sh.mu.Lock()
 	if _, dup := sh.m[cfg.ID]; dup {
 		sh.mu.Unlock()
-		fail()
-		return StreamStatus{}, fmt.Errorf("%w: %s", errStreamExists, cfg.ID)
+		return fail(fmt.Errorf("%w: %s", errStreamExists, cfg.ID))
 	}
 	sh.m[cfg.ID] = st
 	sh.mu.Unlock()
@@ -525,24 +493,21 @@ func (s *Server) Create(cfg StreamConfig) (StreamStatus, error) {
 	// Durably register the stream before acknowledging the create: an
 	// admission the manifest cannot record is refused, because a crash would
 	// orphan-sweep its directory at the next boot.
-	mcfg := cfg
-	mcfg.Resume = false
 	if err := s.manifestPut(cfg.ID, manifestEntry{
-		Config:      mcfg,
+		Config:      cfg,
 		Fingerprint: st.pipeCfg.Fingerprint(),
 		State:       manifestActive,
 	}); err != nil {
 		sh.mu.Lock()
 		delete(sh.m, cfg.ID)
 		sh.mu.Unlock()
-		fail()
-		return StreamStatus{}, err
+		return fail(err)
 	}
 
 	s.metrics.moveState("", StateRunning)
 	s.wg.Add(1)
-	go s.supervise(st, snap, nil)
-	s.log.Info("stream created", "stream", cfg.ID, "resume", cfg.Resume,
+	go s.supervise(st, nil, nil)
+	s.log.Info("stream created", "stream", cfg.ID,
 		"queue_depth", cfg.QueueDepth, "workers", cfg.Workers)
 	return st.status(), nil
 }
@@ -610,11 +575,11 @@ func (s *Server) buildStream(cfg StreamConfig, scheme core.Scheme) (*stream, fun
 	return st, warnf
 }
 
-// wipeDurableLog removes a directory's WAL segments and token journal: a
-// fresh create's line space starts at zero, so a predecessor's durable log
-// (left by a crash after delete, or an earlier stream of the same id)
-// must not leak into it.
-func wipeDurableLog(dir string) error {
+// wipeDurable removes a directory's WAL segments, token journal and
+// checkpoint generations (full snapshots and delta segments): a create's
+// line space starts at zero, so a predecessor's durable state must not
+// leak into it.
+func wipeDurable(dir string, store *checkpoint.Store) error {
 	segs, err := filepath.Glob(filepath.Join(dir, wal.SegmentGlob))
 	if err != nil {
 		return err
@@ -627,27 +592,24 @@ func wipeDurableLog(dir string) error {
 	if err := os.Remove(filepath.Join(dir, wal.TokensName)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	return nil
-}
-
-// wipeCheckpoints removes every generation — full snapshots and delta
-// segments — a fresh (non-resume) create would otherwise silently inherit
-// from a predecessor of the same id.
-func wipeCheckpoints(store *checkpoint.Store) error {
 	return store.Wipe()
 }
 
 // gcStream reclaims a stream's durable footprint once it can never run
 // again (drained to done, or deleted): manifest entry first, directory
 // second, so a crash between the two leaves an orphan directory for the
-// boot sweep — never a manifest entry pointing at nothing.
+// boot sweep — never a manifest entry pointing at nothing. The entry goes
+// even for a stream parked before its lease or store opened, or the next
+// boot would park it again; its directory, which this process never held
+// the lease on, is left to that boot's orphan sweep.
 func (s *Server) gcStream(st *stream) {
 	st.closeDurable()
+	held := st.lease != nil
 	st.releaseLease()
-	if st.store == nil {
+	s.manifestRemove(st.id)
+	if !held {
 		return
 	}
-	s.manifestRemove(st.id)
 	if err := os.RemoveAll(s.streamDir(st.id)); err != nil {
 		s.log.Warn("stream gc failed", "stream", st.id, "error", err.Error())
 	}
@@ -689,7 +651,7 @@ func (s *Server) supervise(st *stream, snap *checkpoint.Snapshot, replay []queue
 		}
 		runCtx, cancelRun := context.WithCancel(st.runCtx)
 		qs := newQueueSource(st, runCtx, replay)
-		src := st.runSource(qs, snap)
+		var src pipeline.RecordSource = qs
 		if s.opts.WrapSource != nil {
 			src = s.opts.WrapSource(st.id, src)
 		}

@@ -410,77 +410,6 @@ func runDifferential(t *testing.T, durable bool) {
 	}
 }
 
-// TestCrashRestartResume aborts a server mid-stream (simulated crash: no
-// final checkpoints) and resumes the stream in a fresh server over the
-// same checkpoint root with a full client-side replay; the resumed tail
-// must be byte-identical to the uninterrupted reference run.
-func TestCrashRestartResume(t *testing.T) {
-	root := t.TempDir()
-	cfg := testConfig("s", 42)
-	cfg.CheckpointEvery = 1
-	input := genInput(t, 7, 600)
-	ref := referenceWindows(t, cfg, input)
-
-	srv1, c1 := newTestServer(t, Options{DataDir: root})
-	c1.create(cfg)
-	lines := strings.SplitAfter(strings.TrimRight(input, "\n")+"\n", "\n")
-	c1.ingestAll("s", strings.Join(lines[:400], ""))
-	// Wait until at least one checkpoint beyond the first window exists so
-	// the resume actually fast-forwards.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		_, st := c1.status("s")
-		if st.CheckpointRecords >= uint64(cfg.Window) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoint after 400 records: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	srv1.Abort() // crash: queued tail and any unsaved progress are lost
-
-	// The resumed stream's first run fails before its prefix skip starts:
-	// the restart must re-present the stream from line 1 and skip the
-	// prefix again (buildRestart's re-presenting branch).
-	var reads atomic.Int64
-	_, c2 := newTestServer(t, Options{DataDir: root, RestartBackoff: time.Millisecond,
-		WrapSource: func(_ string, src pipeline.RecordSource) pipeline.RecordSource {
-			return sourceFunc(func() (itemset.Itemset, error) {
-				if reads.Add(1) == 1 {
-					return itemset.Itemset{}, fmt.Errorf("injected failure before the prefix skip")
-				}
-				return src.Next()
-			})
-		}})
-	rcfg := cfg
-	rcfg.Resume = true
-	st := c2.create(rcfg)
-	if st.CheckpointRecords < uint64(cfg.Window) {
-		t.Fatalf("resume did not load the checkpoint: %+v", st)
-	}
-	c2.ingestAll("s", input) // resume contract: replay from record 0
-	c2.closeStream("s")
-	c2.waitState("s", StateDone, 60*time.Second)
-
-	got := c2.windows("s")
-	if len(got) == 0 {
-		t.Fatal("resumed stream republished nothing")
-	}
-	for pos, body := range got {
-		if ref[pos] != body {
-			t.Errorf("resumed window at position %d differs from the reference run", pos)
-		}
-	}
-	final := 600
-	if _, ok := got[final]; !ok {
-		t.Errorf("resumed stream never published the final window at %d (got %d windows)", final, len(got))
-	}
-	if _, st := c2.status("s"); st.Restarts != 1 {
-		t.Errorf("resumed stream restarted %d times, want 1 (the injected failure)", st.Restarts)
-	}
-}
-
 // ---- small config helpers ----
 
 func paramsOf(cfg StreamConfig) core.Params {

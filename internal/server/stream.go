@@ -867,12 +867,6 @@ func (st *stream) buildRestart() (snap *checkpoint.Snapshot, replay []queueItem,
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if snap != nil && st.consumed < snap.Records {
-		// Failed while still dropping the prefix of a create with resume:
-		// the stream re-presents its lines from 1, so replay everything
-		// consumed so far and let the run skip the prefix again (runSource).
-		ckptLine = 0
-	}
 	// The replay bound: everything the pipeline may already have seen.
 	// consumedLine covers this incarnation's consumption; walBase covers
 	// lines recovered at adoption (never in this process's queue). Lines
@@ -886,20 +880,6 @@ func (st *stream) buildRestart() (snap *checkpoint.Snapshot, replay []queueItem,
 		return nil, nil, fmt.Errorf("wal replay: %w", terr)
 	}
 	return snap, walItems(recs), nil
-}
-
-// runSource is one run's record source. A resumed run starts AT snap, as
-// the replay list does — except while consumption is still behind snap: a
-// create with resume, whose client re-sends from line 1, drops the prefix
-// with pipeline.SkipSource until its run has consumed past the checkpoint.
-func (st *stream) runSource(qs *queueSource, snap *checkpoint.Snapshot) pipeline.RecordSource {
-	st.mu.Lock()
-	behind := snap != nil && st.consumed < snap.Records
-	st.mu.Unlock()
-	if behind {
-		return pipeline.SkipSource(qs, int(snap.Records))
-	}
-	return qs
 }
 
 // walItems converts WAL records into replay queue items. Their inflight
