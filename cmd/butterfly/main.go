@@ -241,8 +241,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	reg := telemetry.NewRegistry()
 	var tracer *trace.Tracer
 	if *traceOut != "" || *telemetryAddr != "" {
-		tracer = trace.New(trace.Options{Windows: *traceWindows})
-		tracer.SetMetrics(reg)
+		tracer = trace.New(reg, *traceWindows)
 	}
 	// Flush the trace file on EVERY exit path — graceful drain, signal
 	// abort, resume failure, pipeline error — mirroring the summary fix

@@ -134,9 +134,6 @@ type Publisher struct {
 	// panic-recovery path.
 	chunkHook func(chunk int)
 
-	optDur     time.Duration
-	perturbDur time.Duration
-
 	// Observability (see telemetry.go): the registered instrument set (nil
 	// disables recording; none of it influences published values), and tr,
 	// the current window's flight-recorder trace (SetTrace), receiving the
@@ -211,18 +208,22 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 	}
 	pub.classScratch, pub.memberScratch = fec.PartitionInto(res, pub.classScratch, pub.memberScratch)
 	classes := pub.classScratch
+	// The bias.opt and cache spans are the publisher's only timers, so the
+	// clock is read only when a trace window is attached.
 	reusesBefore := pub.biasReuses
-	t0 := time.Now()
+	var t0 time.Time
+	if pub.tr != nil {
+		t0 = time.Now()
+	}
 	biases, err := pub.biasesFor(classes)
-	optTook := time.Since(t0)
-	pub.optDur += optTook
-	pub.tr.Add(trace.KindBiasOpt, t0, optTook).
-		Attr(trace.AttrBiasReused, int64(pub.biasReuses-reusesBefore))
+	if pub.tr != nil {
+		pub.tr.Add(trace.KindBiasOpt, t0, time.Since(t0)).
+			Attr(trace.AttrBiasReused, int64(pub.biasReuses-reusesBefore))
+		t0 = time.Now()
+	}
 	if err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
-	defer func() { pub.perturbDur += time.Since(t0) }()
 	alpha := pub.params.Alpha()
 	half := alpha / 2
 
@@ -251,9 +252,11 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 	// perturbation interval the cache served, carrying the hit/miss tally.
 	// No-ops without a registry / trace window.
 	pub.recordCache(hits, misses)
-	cs := pub.tr.Add(trace.KindCache, t0, time.Since(t0))
-	cs.Attr(trace.AttrCacheHits, int64(hits))
-	cs.Attr(trace.AttrCacheMisses, int64(misses))
+	if pub.tr != nil {
+		cs := pub.tr.Add(trace.KindCache, t0, time.Since(t0))
+		cs.Attr(trace.AttrCacheHits, int64(hits))
+		cs.Attr(trace.AttrCacheMisses, int64(misses))
+	}
 	return out, nil
 }
 
@@ -541,11 +544,4 @@ func (pub *Publisher) CacheLen() int { return len(pub.cache) }
 // tests can demonstrate that attack.
 func (pub *Publisher) SetRepublicationCache(enabled bool) {
 	pub.cacheDisabled = !enabled
-}
-
-// Timing reports the cumulative time spent in bias optimization (the "Opt"
-// cost of the paper's Fig. 8) and in the perturbation/publication itself
-// (the "Basic" cost), across all Publish calls so far.
-func (pub *Publisher) Timing() (opt, perturb time.Duration) {
-	return pub.optDur, pub.perturbDur
 }

@@ -286,6 +286,11 @@ func TestAllFiguresMicroScale(t *testing.T) {
 					if pt.Y < 0 {
 						t.Errorf("fig %d series %q: negative y %v", fig, s.Name, pt.Y)
 					}
+					// Fig. 8 plots measured times (Opt and Basic are the
+					// bias.opt and cache span sums): none may read zero.
+					if fig == 8 && pt.Y == 0 {
+						t.Errorf("fig 8 series %q: no time measured at C=%v", s.Name, pt.X)
+					}
 				}
 			}
 		}

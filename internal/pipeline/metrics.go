@@ -37,7 +37,7 @@ const (
 // idempotently.
 func RegisterMetrics(reg *telemetry.Registry) {
 	newPipeMetrics(reg)
-	trace.NewRingless(reg)
+	trace.New(reg, 0)
 }
 
 // pipeMetrics holds the pipeline's registered instruments. A nil

@@ -148,9 +148,9 @@ type Config struct {
 	Metrics *telemetry.Registry
 
 	// Trace, when non-nil, is the tracer the run records its spans into
-	// instead of the ring-less one Metrics implies — pass a trace.New
-	// tracer to keep the in-process flight recorder, and attach the
-	// registry to it with SetMetrics. Each published window gets a root
+	// instead of the ring-less one Metrics implies — pass a tracer built by
+	// trace.New with a ring to keep the in-process flight recorder, and the
+	// registry to feed its span histograms. Each published window gets a root
 	// span with child spans for source/mine/perturb/emit/checkpoint.save
 	// (and resume after a restart), plus the publisher's bias-optimization
 	// and republication-cache spans, all nested under the window's track

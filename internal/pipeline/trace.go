@@ -19,7 +19,7 @@ import (
 // (no span is timed) when neither is set.
 func (cfg Config) spanTracer() *trace.Tracer {
 	if cfg.Trace == nil && cfg.Metrics != nil {
-		return trace.NewRingless(cfg.Metrics)
+		return trace.New(cfg.Metrics, 0)
 	}
 	return cfg.Trace
 }

@@ -47,7 +47,7 @@ func spanAttr(rec trace.Record, name, key string) (int64, bool) {
 // every published window committed a complete span ladder with the
 // attributes the trace viewer keys on.
 func TestTraceRecording(t *testing.T) {
-	tr := trace.New(trace.Options{Windows: 32})
+	tr := trace.New(nil, 32)
 	cfg := telemetryTestConfig(2, nil)
 	cfg.Trace = tr
 	cfg.Checkpoints = &checkpoint.Memory{}
@@ -97,7 +97,7 @@ func TestTraceRecording(t *testing.T) {
 // TestTraceRetrySpans drives transient emit failures and checks the retry
 // spans nest under the affected window's emit span with attempt numbers.
 func TestTraceRetrySpans(t *testing.T) {
-	tr := trace.New(trace.Options{Windows: 32})
+	tr := trace.New(nil, 32)
 	cfg := telemetryTestConfig(1, nil)
 	cfg.Trace = tr
 	cfg.EmitRetries = 3
@@ -185,7 +185,7 @@ func TestTraceResumeSpan(t *testing.T) {
 	if err != nil || snap == nil {
 		t.Fatalf("no checkpoint to resume from: %v", err)
 	}
-	tr := trace.New(trace.Options{Windows: 32})
+	tr := trace.New(nil, 32)
 	cfg.Trace = tr
 	cfg.Resume = snap
 	p, err = New(cfg)
@@ -213,7 +213,7 @@ func TestTraceResumeSpan(t *testing.T) {
 // retry budget still lands in the flight recorder, so the abort-path trace
 // dump shows the failure.
 func TestTraceFailedWindowCommitted(t *testing.T) {
-	tr := trace.New(trace.Options{Windows: 8})
+	tr := trace.New(nil, 8)
 	cfg := telemetryTestConfig(1, nil)
 	cfg.Trace = tr
 	cfg.EmitRetries = 1
@@ -247,7 +247,7 @@ func TestTracingABIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			off := renderRun(t, telemetryTestConfig(workers, nil), records)
 			cfg := telemetryTestConfig(workers, nil)
-			cfg.Trace = trace.New(trace.Options{})
+			cfg.Trace = trace.New(nil, trace.DefaultWindows)
 			on := renderRun(t, cfg, records)
 			if off != on {
 				t.Errorf("published output differs with tracing enabled (workers=%d):\n--- off ---\n%s--- on ---\n%s",
@@ -263,7 +263,7 @@ func TestTracingABIdentity(t *testing.T) {
 // TestTraceSourceSpanCoversFaults: retried source reads and skipped bad
 // records count into the window's source span rather than vanishing.
 func TestTraceSourceSpanCoversFaults(t *testing.T) {
-	tr := trace.New(trace.Options{Windows: 8})
+	tr := trace.New(nil, 8)
 	cfg := telemetryTestConfig(1, nil)
 	cfg.Trace = tr
 	cfg.MaxBadRecords = -1

@@ -158,7 +158,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		offset = n
 	}
 	accepted, bad, err := st.ingest(r.Body, offset)
-	resp := ingestResponse{Accepted: accepted, Bad: bad, AcceptedLines: st.acceptedLines()}
+	resp := ingestResponse{Accepted: accepted, Bad: bad, AcceptedLines: st.lines.Load()}
 	if err != nil {
 		resp.Error = err.Error()
 	}

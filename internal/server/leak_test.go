@@ -2,9 +2,9 @@ package server
 
 // Goroutine hygiene: a full stream lifecycle — create, ingest, close,
 // delete, shutdown — must return the process to its baseline goroutine
-// count. Supervisors, pipeline stages, and retired sources all have owners;
-// anything left running here is a leak that would accumulate per stream in
-// a long-lived server.
+// count. Supervisors own their pipeline runs and join each run's stages
+// before the next; anything left running here is a leak that would
+// accumulate per stream in a long-lived server.
 
 import (
 	"context"

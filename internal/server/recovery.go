@@ -278,7 +278,6 @@ func (s *Server) adopt(id string, e manifestEntry) (parked bool, replayed int, t
 		ckptLine = snap.Records + snap.BadRecords
 		st.lastCkpt = snap.Records
 		st.consumed = snap.Records
-		st.consumedLine = ckptLine
 	}
 	lines := ckptLine
 	if l := st.wal.LastLine(); l > lines {
@@ -291,9 +290,11 @@ func (s *Server) adopt(id string, e manifestEntry) (parked bool, replayed int, t
 	if q := st.wal.LastSeq(); q > seq {
 		seq = q
 	}
-	st.lines, st.seq = lines, seq
-	st.badSeen = lines - seq
-	st.walBase = lines
+	st.lines.Store(lines)
+	st.seq.Store(seq)
+	// Every recovered line may already have reached a pipeline, so restart
+	// replay re-reads up to here even before this process consumes one.
+	st.consumedLine = lines
 	// The truncation horizon re-arms at the ANCHOR full snapshot's line,
 	// not the delta-chain tip: the next full save truncates up to here, and
 	// the chain the resume came from must stay replayable until then.

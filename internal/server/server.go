@@ -25,7 +25,10 @@
 // with the checkpoint, a memory-only tail outgrew its cap before a
 // snapshot covered it, or a stream parked at boot has no log to replay,
 // the stream is quarantined rather than restarted wrong: no replay, no
-// resume.
+// resume. A run owns its queue source and checkpoint store until the
+// supervisor joins it (Pipeline.Wait); only then are the consumption
+// ledgers complete for the restart, and the store free to reuse or
+// reclaim.
 //
 // Durability of acceptance: with a data dir, every 2xx ingest response
 // means the accepted lines are fsynced to the stream's WAL (and any new
@@ -528,18 +531,18 @@ func (s *Server) buildStream(cfg StreamConfig, scheme core.Scheme) (*stream, fun
 	}
 	st.mRecords, st.mWindows = s.metrics.streamCounters(cfg.ID)
 	// Pull-style per-stream gauges: read the live channel length / atomic
-	// stamp at scrape time, costing the hot path nothing.
-	s.metrics.streamQueueDepth(cfg.ID, func() float64 { return float64(len(st.queue)) })
-	s.metrics.streamCheckpointAge(cfg.ID, st.checkpointAge)
+	// stamp at scrape time, costing the hot path nothing. The registry
+	// keeps the first function registered for a label set, so they look the
+	// id up at scrape time rather than close over this stream object, which
+	// a delete and re-create of the id replaces; no stream reads 0.
+	s.metrics.streamQueueDepth(cfg.ID, s.streamGauge(cfg.ID, func(st *stream) float64 { return float64(len(st.queue)) }))
+	s.metrics.streamCheckpointAge(cfg.ID, s.streamGauge(cfg.ID, (*stream).checkpointAge))
 	st.runCtx, st.stop = context.WithCancel(s.ctx)
 	// The stream's tracer times its ingest requests and — as the pipeline's
 	// Trace — its windows, feeding the registry's span histograms; only a
 	// stream created with trace_windows keeps the flight-recorder ring.
-	if cfg.TraceWindows > 0 {
-		st.tracer = trace.New(trace.Options{Windows: cfg.TraceWindows})
-		st.tracer.SetMetrics(s.opts.Registry)
-	} else if s.opts.Registry != nil {
-		st.tracer = trace.NewRingless(s.opts.Registry)
+	if cfg.TraceWindows > 0 || s.opts.Registry != nil {
+		st.tracer = trace.New(s.opts.Registry, cfg.TraceWindows)
 	}
 	warnf := func(format string, args ...any) {
 		s.log.Warn(fmt.Sprintf(format, args...), "stream", cfg.ID)
@@ -573,6 +576,17 @@ func (s *Server) buildStream(cfg StreamConfig, scheme core.Scheme) (*stream, fun
 		st.pipeCfg.CheckpointFullEvery = 1
 	}
 	return st, warnf
+}
+
+// streamGauge returns a scrape-time gauge function reading read of the
+// stream registered under id now, or 0 while none is.
+func (s *Server) streamGauge(id string, read func(*stream) float64) func() float64 {
+	return func() float64 {
+		if st := s.get(id); st != nil {
+			return read(st)
+		}
+		return 0
+	}
 }
 
 // wipeDurable removes a directory's WAL segments, token journal and
@@ -650,8 +664,7 @@ func (s *Server) supervise(st *stream, snap *checkpoint.Snapshot, replay []queue
 			return
 		}
 		runCtx, cancelRun := context.WithCancel(st.runCtx)
-		qs := newQueueSource(st, runCtx, replay)
-		var src pipeline.RecordSource = qs
+		var src pipeline.RecordSource = &queueSource{st: st, ctx: runCtx, replay: replay}
 		if s.opts.WrapSource != nil {
 			src = s.opts.WrapSource(st.id, src)
 		}
@@ -660,15 +673,13 @@ func (s *Server) supervise(st *stream, snap *checkpoint.Snapshot, replay []queue
 			emit = s.opts.WrapSink(st.id, emit)
 		}
 		_, runErr := p.RunContext(runCtx, src, emit)
-		// A failed RunContext can return while the mine stage is still
-		// inside a source read; retire the source and wait for that read to
-		// land before inspecting consumption state, or the record it dequeues
-		// would miss the replay and be dropped from the stream.
-		qs.retire(cancelRun)
-		// A canceled RunContext can likewise return while the emit stage is
-		// still draining buffered windows — including checkpoint saves. Join
-		// the stages before the restart loop reuses the store or a caller
-		// (Delete, gcStream) reclaims the stream's durable directory.
+		// The run owns its queue source and checkpoint store until it is
+		// joined. A failed or canceled RunContext returns while its stages
+		// may still be inside a source read or a checkpoint save; once they
+		// unwind, the consumption state covers every record the run
+		// dequeued, and the restart loop may reuse the store or a caller
+		// (Delete, gcStream) reclaim the stream's durable directory.
+		cancelRun()
 		p.Wait()
 		if runErr == nil {
 			st.setState(StateDone, nil)

@@ -112,20 +112,19 @@ type stream struct {
 	wal      *wal.Log
 	tokens   *wal.TokenLog
 	closeDur sync.Once
-	// walBase is the accepted-line count recovered from the WAL at
-	// adoption: lines at or below it were never enqueued by this process
-	// and restart replay must always re-read them from the log. Immutable
-	// after adoption.
-	walBase uint64
 
 	// Ingest: ingestMu serializes enqueues with the close of the queue
 	// (so a handler can never send on a closed channel) and makes
 	// concurrent POSTs to one stream append in lock-acquisition order.
 	ingestMu sync.Mutex
 	queue    chan queueItem
-	closed   bool   // ingest closed; queue drains to io.EOF
-	seq      uint64 // good records accepted, under ingestMu
-	lines    uint64 // lines accepted (good + bad), under ingestMu
+	closed   bool // ingest closed; queue drains to io.EOF
+	// lines counts the accepted lines (good + bad) and seq the good records
+	// among them. A request stores both once its group is durable, lines
+	// first, under ingestMu; readers load seq before lines, so they never
+	// see more records than lines nor count a line whose sync may fail.
+	lines atomic.Uint64
+	seq   atomic.Uint64
 
 	runCtx context.Context
 	stop   context.CancelFunc
@@ -149,8 +148,7 @@ type stream struct {
 	unpaused     chan struct{} // closed when not paused
 	done         chan struct{} // closed when the current supervision session exits
 	consumed     uint64        // good records pulled from the queue by the source
-	consumedLine uint64        // newest accepted line consumed by the source
-	badSeen      uint64        // malformed lines accepted into the queue
+	consumedLine uint64        // newest accepted line the pipeline may have seen: the restart's replay bound
 	retained     []queueItem   // consumed items past the newest snapshot, the restart replay (memory-only mode)
 	tailLost     uint64        // newest line dropped from retained before a snapshot covered it (memory-only mode)
 	consecFails  int
@@ -324,17 +322,6 @@ func (g *lineGuard) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// acceptedLines returns the stream's cumulative accepted-line count — the
-// offset a well-behaved client should resume from. Reported with every
-// ingest response so a client whose acked count fell behind the stream
-// (recovery adopted synced-but-unacknowledged frames from a torn group)
-// can fast-forward instead of re-sending lines that will only be skipped.
-func (st *stream) acceptedLines() uint64 {
-	st.ingestMu.Lock()
-	defer st.ingestMu.Unlock()
-	return st.lines
-}
-
 // ingest parses the request body incrementally (one transaction per line)
 // and accepts records until the body ends, the per-stream queue fills
 // (backpressure), or the server-wide inflight cap is hit (overload). It
@@ -369,20 +356,21 @@ func (st *stream) ingest(body io.Reader, offset int64) (accepted int, bad int, e
 	case StateFailed:
 		return 0, 0, errStreamClosed
 	}
+	// The request counts on from the published totals; they become the
+	// stream's only once the group is durable.
+	lines, seq := st.lines.Load(), st.seq.Load()
 	var skip uint64
 	if offset >= 0 {
-		if o := uint64(offset); o > st.lines {
+		if o := uint64(offset); o > lines {
 			return 0, 0, fmt.Errorf("%w: offset %d, stream has accepted %d lines",
-				errOffsetGap, offset, st.lines)
+				errOffsetGap, offset, lines)
 		} else {
-			skip = st.lines - o
+			skip = lines - o
 		}
 	}
-	lines0, seq0 := st.lines, st.seq
 	var (
 		staged      []queueItem
 		stagedBytes int64
-		badStaged   uint64
 	)
 	// Request-scoped observability (strictly observation-only): a root span
 	// per ingest request with aggregated parse / wal.append / wal.fsync /
@@ -413,7 +401,7 @@ parse:
 				skip--
 				continue
 			}
-			item = queueItem{rec: rec, seq: st.seq + 1, line: st.lines + 1}
+			item = queueItem{rec: rec, seq: seq + 1, line: lines + 1}
 		default:
 			pe, ok := rerr.(*data.ParseError)
 			if !ok {
@@ -429,9 +417,9 @@ parse:
 			// Re-home the line number onto the stream's cumulative
 			// accepted-line space (the WAL's coordinate) for the audit trail.
 			item = queueItem{
-				bad:  &data.ParseError{Line: int(st.lines) + 1, Token: pe.Token, Err: pe.Err},
-				seq:  st.seq,
-				line: st.lines + 1,
+				bad:  &data.ParseError{Line: int(lines) + 1, Token: pe.Token, Err: pe.Err},
+				seq:  seq,
+				line: lines + 1,
 			}
 		}
 		item.size = itemSize(item)
@@ -465,12 +453,10 @@ parse:
 		}
 		staged = append(staged, item)
 		stagedBytes += item.size
-		if item.bad != nil {
-			badStaged++
-		} else {
-			st.seq++
+		if item.bad == nil {
+			seq++
 		}
-		st.lines++
+		lines++
 	}
 	if len(staged) == 0 {
 		return 0, 0, err
@@ -483,12 +469,13 @@ parse:
 		syncStart = time.Now()
 	}
 	if serr := st.syncDurable(); serr != nil {
-		// Unwind the acceptance: the staged lines never reached the disk or
-		// the pipeline, so the counters must not claim them — the client
-		// re-sends from its own offset and the dedup stays exact.
-		st.lines, st.seq = lines0, seq0
+		// The staged lines never reached the disk or the pipeline, and the
+		// published totals never claimed them: the client re-sends from its
+		// own offset and the dedup stays exact.
 		return 0, 0, fmt.Errorf("%w: %v", errDurability, serr)
 	}
+	st.lines.Store(lines)
+	st.seq.Store(seq)
 	if rw != nil && st.wal != nil {
 		rw.Add(trace.KindWALFsync, syncStart, time.Since(syncStart))
 	}
@@ -514,14 +501,9 @@ parse:
 		}
 		accepted++
 	}
-	if badStaged > 0 {
-		st.mu.Lock()
-		st.badSeen += badStaged
-		st.mu.Unlock()
-	}
 	if rw != nil {
 		rw.Add(trace.KindEnqueue, enqStart, time.Since(enqStart))
-		rw.SetID(st.lines)
+		rw.SetID(lines)
 		if parseDur := syncStart.Sub(parseStart) - walDur; parseDur > 0 {
 			rw.Add(trace.KindParse, parseStart, parseDur)
 		}
@@ -618,79 +600,19 @@ func (st *stream) drainQueue() {
 
 // queueSource adapts the ingest queue to pipeline.RecordSource, delivering
 // the restart's replay list (the lines past the resume checkpoint) before
-// the live queue.
-//
-// Each pipeline run gets its own queueSource scoped by ctx. RunContext can
-// return from a failed run while the mine stage is still inside Next()
-// (cancellation latency), so the supervisor must retire() the source — and
-// wait for that in-flight read to land in the consumption accounting —
-// before it reads the stream state to build the restart. Without the
-// handshake a record dequeued by the dying run after buildRestart is
-// missing from the restart's replay and silently lost.
+// the live queue. Each pipeline run gets its own queueSource scoped by its
+// run context, read only by that run's mine stage, and Next accounts every
+// item it takes before returning it. Once supervise has joined the run
+// (Pipeline.Wait), no Next is in flight, so the stream's consumption state
+// covers every record the run dequeued.
 type queueSource struct {
 	st     *stream
 	ctx    context.Context
 	replay []queueItem
 	next   int
-
-	mu      sync.Mutex
-	dead    bool
-	pending int
-	settled chan struct{} // closed once dead with no pending Next
-}
-
-func newQueueSource(st *stream, ctx context.Context, replay []queueItem) *queueSource {
-	return &queueSource{st: st, ctx: ctx, replay: replay, settled: make(chan struct{})}
-}
-
-// begin registers an in-flight Next call; it refuses once the source is
-// retired so a straggling mine stage can never consume another record.
-func (qs *queueSource) begin() bool {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	if qs.dead {
-		return false
-	}
-	qs.pending++
-	return true
-}
-
-func (qs *queueSource) end() {
-	qs.mu.Lock()
-	defer qs.mu.Unlock()
-	qs.pending--
-	if qs.dead && qs.pending == 0 {
-		close(qs.settled)
-	}
-}
-
-// retire cancels the run context, marks the source dead, and blocks until
-// any in-flight Next call has finished — after which the stream's consumed
-// count and replay inputs are guaranteed to cover everything this run ever
-// dequeued. cancel wakes a Next blocked on an empty queue; a Next that
-// instead wins the race and dequeues one final record is waited for, and
-// that record lands in the replay rather than being lost.
-func (qs *queueSource) retire(cancel context.CancelFunc) {
-	cancel()
-	qs.mu.Lock()
-	if qs.dead {
-		qs.mu.Unlock()
-		<-qs.settled
-		return
-	}
-	qs.dead = true
-	if qs.pending == 0 {
-		close(qs.settled)
-	}
-	qs.mu.Unlock()
-	<-qs.settled
 }
 
 func (qs *queueSource) Next() (itemset.Itemset, error) {
-	if !qs.begin() {
-		return itemset.Itemset{}, context.Canceled
-	}
-	defer qs.end()
 	st := qs.st
 	for {
 		select { // pause gate first: a paused stream delivers nothing new
@@ -702,8 +624,8 @@ func (qs *queueSource) Next() (itemset.Itemset, error) {
 			it := qs.replay[qs.next]
 			qs.next++
 			// WAL replay items after a process restart were never consumed
-			// by this incarnation, so the watermarks advance here; items an
-			// earlier run already accounted leave them where they are.
+			// by this incarnation, so the consumed count advances here; items
+			// an earlier run already accounted leave it where it is.
 			st.noteReplayed(it)
 			if it.bad != nil {
 				return itemset.Itemset{}, it.bad
@@ -765,17 +687,16 @@ func (st *stream) noteConsumed(it queueItem) {
 	}
 }
 
-// noteReplayed advances the consumption watermarks for an item delivered
+// noteReplayed advances the consumed-records count for an item delivered
 // from a replay list — with max semantics, because an in-process restart
-// replays items an earlier attempt already accounted.
+// replays items an earlier attempt already accounted. The replay bound
+// consumedLine already covers every replayed line: a restart replays only
+// lines at or below it, and adoption starts it at the recovered count.
 func (st *stream) noteReplayed(it queueItem) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if it.bad == nil && it.seq > st.consumed {
 		st.consumed = it.seq
-	}
-	if it.line > st.consumedLine {
-		st.consumedLine = it.line
 	}
 }
 
@@ -867,15 +788,10 @@ func (st *stream) buildRestart() (snap *checkpoint.Snapshot, replay []queueItem,
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// The replay bound: everything the pipeline may already have seen.
-	// consumedLine covers this incarnation's consumption; walBase covers
-	// lines recovered at adoption (never in this process's queue). Lines
-	// past the bound are still queued and will arrive normally.
-	bound := st.consumedLine
-	if st.walBase > bound {
-		bound = st.walBase
-	}
-	recs, terr := st.wal.Tail(ckptLine, bound)
+	// The replay bound: everything the pipeline may already have seen,
+	// lines recovered at adoption included (never in this process's queue).
+	// Lines past the bound are still queued and will arrive normally.
+	recs, terr := st.wal.Tail(ckptLine, st.consumedLine)
 	if terr != nil {
 		return nil, nil, fmt.Errorf("wal replay: %w", terr)
 	}
@@ -1010,6 +926,8 @@ func (st *stream) status() StreamStatus {
 		segs = st.wal.SegmentCount()
 	}
 	ckptAge := st.checkpointAge()
+	seq := st.seq.Load()
+	lines := st.lines.Load()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	// A stream parked at adoption because its scheme no longer parses has
@@ -1022,9 +940,9 @@ func (st *stream) status() StreamStatus {
 		ID:                  st.id,
 		State:               st.state,
 		LastError:           st.lastErr,
-		RecordsAccepted:     st.seqSnapshot(),
+		RecordsAccepted:     seq,
 		RecordsConsumed:     st.consumed,
-		BadRecords:          st.badSeen,
+		BadRecords:          lines - seq,
 		QueueLen:            len(st.queue),
 		QueueCap:            cap(st.queue),
 		WindowsRetained:     len(st.windows),
@@ -1033,17 +951,12 @@ func (st *stream) status() StreamStatus {
 		CheckpointRecords:   st.lastCkpt,
 		Workers:             st.cfg.Workers,
 		Scheme:              scheme,
-		AcceptedLines:       st.lines,
+		AcceptedLines:       lines,
 		Durable:             st.wal != nil,
 		WALSegments:         segs,
 		LastCheckpointAge:   ckptAge,
 	}
 }
-
-// seqSnapshot reads the accepted-records counter without taking ingestMu
-// (st.mu is already held by status); status is diagnostic, so a slightly
-// stale value is fine.
-func (st *stream) seqSnapshot() uint64 { return st.seq }
 
 // finalState reports the state and last error after a supervision session
 // has ended (the drain report's source of truth).

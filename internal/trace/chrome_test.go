@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // window 7 with the full stage ladder plus a retry, window 8 overflowing
 // its span table so the dropped counter renders.
 func goldenTracer() *Tracer {
-	tr, clock := newTestTracer(Options{Windows: 8, TopK: 2}, 0)
+	tr, clock := newTestTracer(nil, 8, 0)
 	at := func(ms int64) time.Time { return tr.epoch.Add(time.Duration(ms) * time.Millisecond) }
 
 	w := tr.StartWindow()

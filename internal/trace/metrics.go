@@ -31,17 +31,13 @@ type traceMetrics struct {
 	slowest *telemetry.Gauge
 }
 
-// SetMetrics registers the tracer's instruments on reg and starts
-// observing at every Commit; a nil reg detaches. Registration is
-// idempotent across tracers sharing a registry, and so is the
-// slowest-window gauge: it holds the maximum over all of them.
-func (t *Tracer) SetMetrics(reg *telemetry.Registry) {
-	if t == nil {
-		return
-	}
+// newTraceMetrics registers the tracer instruments on reg; nil reg
+// returns nil (no mirroring). Registration is idempotent across tracers
+// sharing a registry, and so is the slowest-window gauge: it holds the
+// maximum over all of them.
+func newTraceMetrics(reg *telemetry.Registry) *traceMetrics {
 	if reg == nil {
-		t.metrics = nil
-		return
+		return nil
 	}
 	m := &traceMetrics{
 		slowest: reg.Gauge(MetricSlowestWindow,
@@ -52,11 +48,11 @@ func (t *Tracer) SetMetrics(reg *telemetry.Registry) {
 			"Committed span durations, by span kind (the one timer behind every stage, checkpoint, ingest and WAL duration).",
 			nil, telemetry.Labels{"span": k.String()})
 	}
-	t.metrics = m
+	return m
 }
 
-// observe records one committed window into the registry (no-op when
-// SetMetrics was not called). Called from Commit only.
+// observe records one committed window into the registry (no-op without
+// one). Called from Commit only.
 func (t *Tracer) observe(d *windowData) {
 	m := t.metrics
 	if m == nil {

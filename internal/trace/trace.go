@@ -11,9 +11,8 @@
 // published window.
 //
 // Spans are the service's only duration timer: every committed span feeds
-// the butterfly_trace_span_seconds{span} histograms of the registry
-// attached with SetMetrics (metrics.go), and the flight recorder is an
-// optional second sink:
+// the butterfly_trace_span_seconds{span} histograms of the registry given
+// to New (metrics.go), and the flight recorder is an optional second sink:
 //
 //   - While a window is in flight, its spans are recorded into a plain,
 //     fixed-size record owned EXCLUSIVELY by the pipeline goroutine currently
@@ -21,31 +20,30 @@
 //     stage channels, so recording a span is a handful of plain stores —
 //     lock-free, allocation-free, and race-free by construction.
 //   - When the window finishes, Commit observes its spans into the registry
-//     and, on a tracer built by New, copies the record into a fixed-size
-//     ring of seqlock slots (all-atomic fields, writers never block readers,
-//     readers retry torn reads), retaining the most recent Options.Windows
-//     windows. Records are recycled through a free list, so the steady-state
-//     hot path allocates nothing (asserted by testing.AllocsPerRun in the
-//     package tests).
-//   - A top-K slowest-window exemplar store survives ring eviction: the
-//     windows an operator actually wants to inspect after a latency incident
-//     are still there even if thousands of fast windows have since lapped
-//     the ring.
+//     and, on a tracer with a ring, copies the record into a fixed-size ring
+//     of the most recent windows under one mutex. A commit happens once per
+//     window or ingest request and a read once per trace export, so the lock
+//     is held briefly and rarely contended. Records are recycled through a
+//     free list, so the steady-state hot path allocates nothing (asserted by
+//     testing.AllocsPerRun in the package tests).
+//   - A top-K slowest-window exemplar store, behind the same mutex, survives
+//     ring eviction: the windows an operator actually wants to inspect after
+//     a latency incident are still there even if thousands of fast windows
+//     have since lapped the ring.
 //
-// A tracer built by NewRingless keeps neither the ring nor the exemplar
-// store; it exists so a run with a registry but no flight recorder still
-// times each duration once. Snapshots (for the /debug/trace/events endpoint
-// and -trace-out files) are encoded as Chrome trace-event JSON — loadable in
-// Perfetto or chrome://tracing — by chrome.go, so traces and /metrics
-// cross-reference by window id. Tracing is strictly observation-only: the
-// pipeline's A/B identity tests pin published bytes identical with tracing
-// on and off.
+// A ring-less tracer (New with windows 0) keeps neither the ring nor the
+// exemplar store and commits without the lock; it exists so a run with a
+// registry but no flight recorder still times each duration once.
+// Snapshots (for the /debug/trace/events endpoint and -trace-out files) are
+// encoded as Chrome trace-event JSON — loadable in Perfetto or
+// chrome://tracing — by chrome.go, so traces and /metrics cross-reference
+// by window id. Tracing is strictly observation-only: the pipeline's A/B
+// identity tests pin published bytes identical with tracing on and off.
 package trace
 
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -200,7 +198,7 @@ type spanData struct {
 }
 
 // windowData is the plain form of one window's trace: the in-flight record,
-// the exemplar-store slot, and the unit the seqlock ring copies.
+// and the unit the ring and the exemplar store copy.
 type windowData struct {
 	id      uint64 // window id (stream position); 0 until SetID
 	commit  uint64 // commit sequence, assigned by Commit
@@ -290,183 +288,53 @@ func (w *Window) Add(kind Kind, start time.Time, d time.Duration) SpanRef {
 	return SpanRef{w: w, i: w.nspans}
 }
 
-// ringSpan is the all-atomic form of spanData inside a seqlock ring slot.
-type ringSpan struct {
-	word  atomic.Uint64 // kind<<8 | nattr
-	start atomic.Int64
-	dur   atomic.Int64
-	akey  [MaxAttrs]atomic.Uint32
-	aval  [MaxAttrs]atomic.Int64
-}
-
-// ringRec is one seqlock slot: seq is odd while a commit is copying into
-// the slot; readers retry on a torn or in-progress read. Every data field
-// is atomic, so concurrent copy-out is race-detector-clean.
-type ringRec struct {
-	seq     atomic.Uint64
-	id      atomic.Uint64
-	commit  atomic.Uint64
-	start   atomic.Int64
-	dur     atomic.Int64
-	rootw   atomic.Uint64 // kind<<8 | nroot
-	rkey    [MaxAttrs]atomic.Uint32
-	rval    [MaxAttrs]atomic.Int64
-	nspans  atomic.Int32
-	dropped atomic.Int32
-	spans   [MaxSpans]ringSpan
-}
-
-// store copies d into the slot (caller holds the seqlock write claim).
-func (r *ringRec) store(d *windowData) {
-	r.id.Store(d.id)
-	r.commit.Store(d.commit)
-	r.start.Store(d.start)
-	r.dur.Store(d.dur)
-	r.rootw.Store(uint64(d.kind)<<8 | uint64(d.nroot))
-	for i := 0; i < int(d.nroot); i++ {
-		r.rkey[i].Store(uint32(d.rkey[i]))
-		r.rval[i].Store(d.rval[i])
-	}
-	n := d.nspans
-	r.nspans.Store(n)
-	r.dropped.Store(d.dropped)
-	for i := int32(0); i < n; i++ {
-		sp, dst := &d.spans[i], &r.spans[i]
-		dst.word.Store(uint64(sp.kind)<<8 | uint64(sp.nattr))
-		dst.start.Store(sp.start)
-		dst.dur.Store(sp.dur)
-		for a := 0; a < int(sp.nattr); a++ {
-			dst.akey[a].Store(uint32(sp.akey[a]))
-			dst.aval[a].Store(sp.aval[a])
-		}
-	}
-}
-
-// load copies the slot into d, returning false on a torn/in-progress/empty
-// read (the caller retries or skips the slot).
-func (r *ringRec) load(d *windowData) bool {
-	for tries := 0; tries < 8; tries++ {
-		s1 := r.seq.Load()
-		if s1 == 0 {
-			return false // never written
-		}
-		if s1%2 == 1 {
-			continue // commit in progress
-		}
-		d.id = r.id.Load()
-		d.commit = r.commit.Load()
-		d.start = r.start.Load()
-		d.dur = r.dur.Load()
-		rootw := r.rootw.Load()
-		d.kind = Kind(rootw >> 8)
-		d.nroot = int8(rootw & 0xff)
-		if d.nroot < 0 || int(d.nroot) > MaxAttrs {
-			continue
-		}
-		for i := 0; i < int(d.nroot); i++ {
-			d.rkey[i] = AttrKey(r.rkey[i].Load())
-			d.rval[i] = r.rval[i].Load()
-		}
-		n := r.nspans.Load()
-		if n < 0 || n > MaxSpans {
-			continue
-		}
-		d.nspans = n
-		d.dropped = r.dropped.Load()
-		ok := true
-		for i := int32(0); i < n; i++ {
-			src, dst := &r.spans[i], &d.spans[i]
-			word := src.word.Load()
-			dst.kind = Kind(word >> 8)
-			dst.nattr = int8(word & 0xff)
-			if int(dst.nattr) > MaxAttrs {
-				ok = false
-				break
-			}
-			dst.start = src.start.Load()
-			dst.dur = src.dur.Load()
-			for a := 0; a < int(dst.nattr); a++ {
-				dst.akey[a] = AttrKey(src.akey[a].Load())
-				dst.aval[a] = src.aval[a].Load()
-			}
-		}
-		if ok && r.seq.Load() == s1 {
-			return true
-		}
-	}
-	return false
-}
-
-// Options configures a flight-recording Tracer (New); NewRingless takes
-// none.
-type Options struct {
-	// Windows is the ring capacity — how many recent windows the flight
-	// recorder retains (default 256).
-	Windows int
-	// TopK is the slowest-window exemplar store size (default 8; 0 uses the
-	// default, negative disables the store).
-	TopK int
-}
-
-// Defaults for Options.
+// DefaultWindows is the flight-recorder ring size the CLI and the server's
+// build-info label use; DefaultTopK is the slowest-window exemplar store
+// size of every tracer with a ring.
 const (
 	DefaultWindows = 256
 	DefaultTopK    = 8
 )
 
-// Tracer records spans into the registry attached with SetMetrics and,
-// when built by New, into the flight recorder. All methods are safe for
-// concurrent use and nil-receiver safe: a nil *Tracer is a disabled tracer
-// whose StartWindow returns nil, making instrumented code zero-cost when
-// neither a registry nor a ring is attached (one pointer test per call
-// site).
+// Tracer records spans into the registry given to New and, when it has a
+// ring, into the flight recorder. All methods are safe for concurrent use
+// and nil-receiver safe: a nil *Tracer is a disabled tracer whose
+// StartWindow returns nil, making instrumented code zero-cost when neither
+// a registry nor a ring is attached (one pointer test per call site).
 type Tracer struct {
 	epoch time.Time
 	now   func() time.Time // test seam; nil means time.Now
 
-	seq  atomic.Uint64 // commit sequence
-	ring []ringRec     // empty on a ring-less tracer
-
-	free chan *Window
-
-	exMu   sync.Mutex
-	exRecs []windowData // top-K by root duration; dur==0 slots are empty
-	exMin  atomic.Int64 // admission fast-path threshold once the store fills
-	exFull atomic.Bool
-
+	free    chan *Window
 	metrics *traceMetrics // see metrics.go; nil disables mirroring
+
+	// The flight recorder: the newest len(ring) committed roots, slot
+	// (commit-1) mod len(ring), and the DefaultTopK slowest windows, which
+	// survive ring eviction. Both are empty on a ring-less tracer, whose
+	// commits never take mu. A zero dur marks an empty slot.
+	mu     sync.Mutex
+	seq    uint64 // commit sequence
+	ring   []windowData
+	exRecs []windowData
 }
 
-// New returns a Tracer retaining the last opts.Windows windows.
-func New(opts Options) *Tracer {
-	if opts.Windows <= 0 {
-		opts.Windows = DefaultWindows
-	}
-	topK := opts.TopK
-	if topK == 0 {
-		topK = DefaultTopK
-	}
-	if topK < 0 {
-		topK = 0
-	}
-	t := NewRingless(nil)
-	t.ring = make([]ringRec, opts.Windows)
-	t.exRecs = make([]windowData, topK)
-	return t
-}
-
-// NewRingless returns a tracer without the flight recorder: its committed
-// spans only feed reg's span histograms, and it allocates no ring and no
-// exemplar store (Capacity is 0; Snapshot and Exemplars are empty).
-func NewRingless(reg *telemetry.Registry) *Tracer {
+// New returns a tracer whose committed spans feed reg's span histograms
+// (none when reg is nil) and whose flight recorder retains the last windows
+// roots plus the slowest-window exemplars. windows <= 0 makes it ring-less:
+// no ring, no exemplar store, and Snapshot is empty.
+func New(reg *telemetry.Registry, windows int) *Tracer {
 	t := &Tracer{
 		epoch: time.Now(),
 		// The free list holds more records than the pipeline has windows in
 		// flight, so the steady state never allocates; a drained list (e.g.
 		// records abandoned by an aborted run) just re-allocates lazily.
-		free: make(chan *Window, 32),
+		free:    make(chan *Window, 32),
+		metrics: newTraceMetrics(reg),
 	}
-	t.SetMetrics(reg)
+	if windows > 0 {
+		t.ring = make([]windowData, windows)
+		t.exRecs = make([]windowData, DefaultTopK)
+	}
 	return t
 }
 
@@ -514,11 +382,11 @@ func (t *Tracer) StartRoot(kind Kind) *Window {
 	return w
 }
 
-// Commit finalizes w's root span, publishes the record into the ring
-// (evicting the oldest window) and offers it to the slowest-window
-// exemplar store when the tracer has them, observes every span duration
-// into the telemetry registry (when SetMetrics was called), and recycles
-// the record. w must not be used after Commit. Nil tracer or nil w no-op.
+// Commit finalizes w's root span, observes every span duration into the
+// registry, copies the record into the ring (evicting the oldest root) and
+// offers it to the slowest-window exemplar store when the tracer has them,
+// and recycles the record. w must not be used after Commit. Nil tracer or
+// nil w no-op.
 func (t *Tracer) Commit(w *Window) {
 	if t == nil || w == nil {
 		return
@@ -527,74 +395,36 @@ func (t *Tracer) Commit(w *Window) {
 	if w.dur <= 0 {
 		w.dur = 1 // keep committed records distinguishable from empty slots
 	}
-	w.commit = t.seq.Add(1)
-	if len(t.ring) > 0 {
-		slot := &t.ring[int((w.commit-1)%uint64(len(t.ring)))]
-		// Claim the slot's seqlock. Concurrent commits land on distinct slots
-		// (the commit sequence spreads them); contention here needs two
-		// commits a full ring apart racing — possible with tiny test rings,
-		// so spin.
-		for {
-			s := slot.seq.Load()
-			if s%2 == 0 && slot.seq.CompareAndSwap(s, s+1) {
-				break
-			}
-		}
-		slot.store(&w.windowData)
-		slot.seq.Add(1)
-	}
-	if w.kind == KindWindow {
-		t.admitExemplar(&w.windowData)
-	}
 	t.observe(&w.windowData)
-
+	if len(t.ring) > 0 {
+		t.mu.Lock()
+		t.seq++
+		w.commit = t.seq
+		t.ring[(t.seq-1)%uint64(len(t.ring))] = w.windowData
+		if w.kind == KindWindow {
+			t.admitExemplar(&w.windowData)
+		}
+		t.mu.Unlock()
+	}
 	select {
 	case t.free <- w:
 	default: // free list full; let the GC take it
 	}
 }
 
-// admitExemplar offers one committed window to the top-K store. The fast
-// path — window no slower than the current K-th slowest once the store is
-// full — is two atomic loads; admission itself copies into a pre-allocated
-// slot under a short mutex.
+// admitExemplar copies one committed window into the top-K store when it
+// is slower than the store's fastest entry (an empty slot reads 0). Called
+// with mu held.
 func (t *Tracer) admitExemplar(d *windowData) {
-	if len(t.exRecs) == 0 {
-		return
-	}
-	if t.exFull.Load() && d.dur <= t.exMin.Load() {
-		return
-	}
-	t.exMu.Lock()
-	defer t.exMu.Unlock()
-	minIdx, minDur := -1, int64(0)
+	var slot *windowData
 	for i := range t.exRecs {
-		e := &t.exRecs[i]
-		if e.dur == 0 { // empty slot
-			minIdx, minDur = i, 0
-			break
-		}
-		if minIdx == -1 || e.dur < minDur {
-			minIdx, minDur = i, e.dur
+		if e := &t.exRecs[i]; slot == nil || e.dur < slot.dur {
+			slot = e
 		}
 	}
-	if d.dur <= minDur && t.exRecs[minIdx].dur != 0 {
-		return
+	if slot != nil && d.dur > slot.dur {
+		*slot = *d
 	}
-	t.exRecs[minIdx] = *d
-	newMin, full := int64(0), true
-	for i := range t.exRecs {
-		e := &t.exRecs[i]
-		if e.dur == 0 {
-			full = false
-			continue
-		}
-		if newMin == 0 || e.dur < newMin {
-			newMin = e.dur
-		}
-	}
-	t.exMin.Store(newMin)
-	t.exFull.Store(full)
 }
 
 // Attr is one decoded span attribute.
@@ -659,48 +489,26 @@ func (d *windowData) record() Record {
 }
 
 // Snapshot decodes the retained windows — the ring union the slowest-window
-// exemplars, de-duplicated — sorted by commit order. It never blocks
-// writers; a slot mid-commit is skipped after bounded retries. Safe to call
-// at any time, including concurrently with commits; nil tracer returns nil.
+// exemplars, de-duplicated — sorted by commit order. It copies the slots
+// under the recorder's lock and decodes them after releasing it. Safe to
+// call at any time, including concurrently with commits; nil tracer
+// returns nil.
 func (t *Tracer) Snapshot() []Record {
 	if t == nil {
 		return nil
 	}
-	seen := make(map[uint64]bool, len(t.ring))
-	out := make([]Record, 0, len(t.ring)+len(t.exRecs))
-	var d windowData
-	for i := range t.ring {
-		if t.ring[i].load(&d) && !seen[d.commit] {
+	t.mu.Lock()
+	slots := append(append([]windowData(nil), t.ring...), t.exRecs...)
+	t.mu.Unlock()
+	seen := make(map[uint64]bool, len(slots))
+	out := make([]Record, 0, len(slots))
+	for i := range slots {
+		d := &slots[i]
+		if d.dur != 0 && !seen[d.commit] {
 			seen[d.commit] = true
 			out = append(out, d.record())
 		}
 	}
-	t.exMu.Lock()
-	for i := range t.exRecs {
-		e := &t.exRecs[i]
-		if e.dur != 0 && !seen[e.commit] {
-			seen[e.commit] = true
-			out = append(out, e.record())
-		}
-	}
-	t.exMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// Exemplars decodes just the slowest-window store, slowest first.
-func (t *Tracer) Exemplars() []Record {
-	if t == nil {
-		return nil
-	}
-	t.exMu.Lock()
-	out := make([]Record, 0, len(t.exRecs))
-	for i := range t.exRecs {
-		if e := &t.exRecs[i]; e.dur != 0 {
-			out = append(out, e.record())
-		}
-	}
-	t.exMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Dur > out[j].Dur })
 	return out
 }

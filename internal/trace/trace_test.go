@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -26,8 +28,8 @@ func (c *fakeClock) now() time.Time {
 
 // newTestTracer returns a tracer on a deterministic clock starting at the
 // epoch and advancing step per reading.
-func newTestTracer(opts Options, step time.Duration) (*Tracer, *fakeClock) {
-	t := New(opts)
+func newTestTracer(reg *telemetry.Registry, windows int, step time.Duration) (*Tracer, *fakeClock) {
+	t := New(reg, windows)
 	c := &fakeClock{t: t.epoch, step: step}
 	t.now = c.now
 	return t, c
@@ -46,7 +48,7 @@ func commitWindow(tr *Tracer, id uint64) {
 }
 
 func TestTracerBasicSnapshot(t *testing.T) {
-	tr, _ := newTestTracer(Options{Windows: 8}, time.Millisecond)
+	tr, _ := newTestTracer(nil, 8, time.Millisecond)
 	for id := uint64(1); id <= 3; id++ {
 		commitWindow(tr, id)
 	}
@@ -78,7 +80,8 @@ func TestTracerBasicSnapshot(t *testing.T) {
 // TestTracerRingWraparound floods a small ring and checks only the newest
 // Capacity windows remain (exemplars aside, which keep their own copies).
 func TestTracerRingWraparound(t *testing.T) {
-	tr, _ := newTestTracer(Options{Windows: 4, TopK: -1}, time.Microsecond)
+	tr, _ := newTestTracer(nil, 4, time.Microsecond)
+	tr.exRecs = nil // ring only
 	for id := uint64(1); id <= 10; id++ {
 		commitWindow(tr, id)
 	}
@@ -100,7 +103,7 @@ func TestTracerRingWraparound(t *testing.T) {
 // attribute; a torn read would surface as a record whose span attributes
 // disagree with its id.
 func TestTracerConcurrentCommitEvictionRace(t *testing.T) {
-	tr := New(Options{Windows: 4, TopK: 4})
+	tr := New(nil, 4)
 	const writers, perWriter = 8, 200
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -147,9 +150,9 @@ func TestTracerConcurrentCommitEvictionRace(t *testing.T) {
 
 // TestTracerExemplarsSurviveEviction commits one slow window early, floods
 // the ring with fast windows, and checks the slow window is still visible —
-// in the exemplar store and in the full snapshot.
+// as the snapshot's slowest record, retained by the exemplar store.
 func TestTracerExemplarsSurviveEviction(t *testing.T) {
-	tr, clock := newTestTracer(Options{Windows: 4, TopK: 2}, time.Microsecond)
+	tr, clock := newTestTracer(nil, 4, time.Microsecond)
 
 	clock.step = 50 * time.Millisecond // slow window: wide clock steps
 	commitWindow(tr, 999)
@@ -158,12 +161,13 @@ func TestTracerExemplarsSurviveEviction(t *testing.T) {
 		commitWindow(tr, id)
 	}
 
-	ex := tr.Exemplars()
-	if len(ex) == 0 || ex[0].Window != 999 {
-		t.Fatalf("slowest exemplar is %+v, want window 999", ex)
+	recs := tr.Snapshot()
+	slowest := slices.MaxFunc(recs, func(a, b Record) int { return cmp.Compare(a.Dur, b.Dur) })
+	if slowest.Window != 999 {
+		t.Fatalf("slowest record is %+v, want window 999", slowest)
 	}
 	found := false
-	for _, rec := range tr.Snapshot() {
+	for _, rec := range recs {
 		if rec.Window == 999 {
 			found = true
 		}
@@ -171,8 +175,8 @@ func TestTracerExemplarsSurviveEviction(t *testing.T) {
 	if !found {
 		t.Error("window 999 evicted from the ring was not preserved by the exemplar store")
 	}
-	if got := len(tr.Snapshot()); got != 4+2 {
-		t.Errorf("snapshot holds %d records, want 4 ring + 2 surviving exemplars (TopK)", got)
+	if got := len(recs); got != 4+DefaultTopK {
+		t.Errorf("snapshot holds %d records, want 4 ring + %d surviving exemplars (DefaultTopK)", got, DefaultTopK)
 	}
 }
 
@@ -181,9 +185,8 @@ func TestTracerExemplarsSurviveEviction(t *testing.T) {
 // flight-recorder ring, and on the ring-less tracer a registry alone
 // implies.
 func TestTracerZeroAllocHotPath(t *testing.T) {
-	ringed := New(Options{Windows: 16})
-	ringed.SetMetrics(telemetry.NewRegistry())
-	ringless := NewRingless(telemetry.NewRegistry())
+	ringed := New(telemetry.NewRegistry(), 16)
+	ringless := New(telemetry.NewRegistry(), 0)
 	for name, tr := range map[string]*Tracer{"ring": ringed, "ringless": ringless} {
 		record := func() {
 			w := tr.StartWindow()
@@ -211,12 +214,11 @@ func TestTracerZeroAllocHotPath(t *testing.T) {
 // goroutines of its own — heavy use leaves the goroutine count unchanged.
 func TestTracerGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	tr := New(Options{Windows: 8})
+	tr := New(nil, 8)
 	for id := uint64(1); id <= 100; id++ {
 		commitWindow(tr, id)
 	}
 	tr.Snapshot()
-	tr.Exemplars()
 	time.Sleep(10 * time.Millisecond)
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("tracer use grew the goroutine count from %d to %d", before, after)
@@ -235,8 +237,7 @@ func TestTracerNilSafety(t *testing.T) {
 	w.Attr(AttrWindow, 1)
 	w.Add(KindMine, time.Now(), time.Second).Attr(AttrWindow, 1)
 	tr.Commit(w)
-	tr.SetMetrics(telemetry.NewRegistry())
-	if tr.Snapshot() != nil || tr.Exemplars() != nil {
+	if tr.Snapshot() != nil {
 		t.Error("nil tracer snapshot not nil")
 	}
 	if tr.Capacity() != 0 {
@@ -244,7 +245,7 @@ func TestTracerNilSafety(t *testing.T) {
 	}
 
 	// A live tracer must also tolerate span overflow by counting drops.
-	live := New(Options{Windows: 2})
+	live := New(nil, 2)
 	lw := live.StartWindow()
 	for i := 0; i < MaxSpans+5; i++ {
 		lw.Add(KindRetry, time.Now(), time.Millisecond)
@@ -275,9 +276,8 @@ func TestTracerMetricsMirror(t *testing.T) {
 		return slowest, hist
 	}
 
-	tr, clock := newTestTracer(Options{Windows: 8}, time.Millisecond)
 	reg := telemetry.NewRegistry()
-	tr.SetMetrics(reg)
+	tr, clock := newTestTracer(reg, 8, time.Millisecond)
 	commitWindow(tr, 1)
 	clock.step = 100 * time.Millisecond
 	commitWindow(tr, 2)
@@ -295,10 +295,8 @@ func TestTracerMetricsMirror(t *testing.T) {
 	// Two tracers on one registry (two hosted streams): a 0.3s window on A,
 	// then a 0.015s window on B, must leave the gauge at A's 0.3s.
 	shared := telemetry.NewRegistry()
-	a, _ := newTestTracer(Options{Windows: 8}, 100*time.Millisecond)
-	b, _ := newTestTracer(Options{Windows: 8}, 5*time.Millisecond)
-	a.SetMetrics(shared)
-	b.SetMetrics(shared)
+	a, _ := newTestTracer(shared, 8, 100*time.Millisecond)
+	b, _ := newTestTracer(shared, 8, 5*time.Millisecond)
 	commitWindow(a, 1)
 	commitWindow(b, 1)
 	if slowest, hist := scrape(shared); slowest < 0.3 || hist[`{span="window"}`] != 2 {
