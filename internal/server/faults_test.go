@@ -11,7 +11,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -210,6 +214,178 @@ func TestBreakerQuarantineAndHeal(t *testing.T) {
 			t.Errorf("healed stream window at %d differs from the reference run", pos)
 		}
 	}
+}
+
+// straggler parks a stream's first checkpoint save at before-write until
+// released, and logs the events the supervisor's join must order: each
+// save reaching before-write ("save N"), each save returning ("saved R",
+// R its record position) and each run's source ("run N").
+type straggler struct {
+	parked  chan struct{}
+	release func()
+	gate    chan struct{}
+
+	mu     sync.Mutex
+	events []string
+}
+
+func newStraggler() *straggler {
+	g := &straggler{parked: make(chan struct{}), gate: make(chan struct{})}
+	g.release = sync.OnceFunc(func() { close(g.gate) })
+	return g
+}
+
+func (g *straggler) log(format string, args ...any) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.events = append(g.events, fmt.Sprintf(format, args...))
+}
+
+// index returns the position of ev in the event log, or -1.
+func (g *straggler) index(ev string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Index(g.events, ev)
+}
+
+func (g *straggler) hookStore(_ string, store *checkpoint.Store) {
+	onSave := store.OnSave
+	store.OnSave = func(sv checkpoint.Saved) {
+		onSave(sv)
+		g.log("saved %d", sv.Records)
+	}
+	store.CrashHook = func(point string, save int) bool {
+		if point == checkpoint.CrashBeforeWrite {
+			g.log("save %d", save)
+			if save == 1 {
+				close(g.parked)
+				<-g.gate
+			}
+		}
+		return false
+	}
+}
+
+func (g *straggler) waitParked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no checkpoint save reached before-write")
+	}
+}
+
+// hold checks for 300 ms that check reports nothing: what the join must
+// hold back while the save is parked.
+func (g *straggler) hold(t *testing.T, check func() string) {
+	t.Helper()
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if msg := check(); msg != "" {
+			t.Fatalf("while a checkpoint save was parked: %s", msg)
+		}
+	}
+}
+
+// TestSupervisorJoinsStragglingSave parks a stream's first checkpoint save
+// and, while it is parked, (i) deletes the stream or (ii) fails its run
+// with a source fault. The supervisor joins the run before anything else
+// touches the store: Delete must not return, nor the stream directory go,
+// and the restart (its buildRestart, counted in restarts, and its first
+// save) must not start, until the parked save returns.
+func TestSupervisorJoinsStragglingSave(t *testing.T) {
+	cfg := testConfig("s", 3)
+	lines := strings.SplitAfter(genInput(t, 3, 150), "\n")
+
+	t.Run("delete", func(t *testing.T) {
+		root := t.TempDir()
+		g := newStraggler()
+		srv, c := newTestServer(t, Options{DataDir: root, hookStore: g.hookStore})
+		t.Cleanup(g.release)
+		c.create(cfg)
+		c.ingestAll(cfg.ID, strings.Join(lines[:100], ""))
+		g.waitParked(t)
+		deleted := make(chan error, 1)
+		go func() { deleted <- srv.Delete(cfg.ID) }()
+		dir := filepath.Join(root, "streams", cfg.ID)
+		g.hold(t, func() string {
+			select {
+			case err := <-deleted:
+				return fmt.Sprintf("Delete returned (%v)", err)
+			default:
+			}
+			if _, err := os.Stat(dir); err != nil {
+				return fmt.Sprintf("the stream directory is gone (%v)", err)
+			}
+			return ""
+		})
+		g.release()
+		select {
+		case err := <-deleted:
+			if err != nil {
+				t.Fatalf("delete: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("Delete never returned after the save was released")
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("stream directory survived the delete (stat: %v)", err)
+		}
+	})
+
+	t.Run("restart", func(t *testing.T) {
+		g := newStraggler()
+		var runs atomic.Int64
+		var fault atomic.Bool
+		_, c := newTestServer(t, Options{
+			DataDir:        t.TempDir(),
+			RestartBackoff: time.Millisecond,
+			hookStore:      g.hookStore,
+			WrapSource: func(_ string, src pipeline.RecordSource) pipeline.RecordSource {
+				g.log("run %d", runs.Add(1))
+				return sourceFunc(func() (itemset.Itemset, error) {
+					if fault.CompareAndSwap(true, false) {
+						return itemset.Itemset{}, errors.New("injected one-shot source failure")
+					}
+					return src.Next()
+				})
+			},
+		})
+		t.Cleanup(g.release)
+		c.create(cfg)
+		c.ingestAll(cfg.ID, strings.Join(lines[:100], ""))
+		g.waitParked(t)
+		// The source is blocked for line 101; once it arrives, the next read
+		// fails the run.
+		fault.Store(true)
+		c.ingestAll(cfg.ID, lines[100])
+		g.hold(t, func() string {
+			if _, st := c.status(cfg.ID); st.Restarts != 0 {
+				return fmt.Sprintf("the supervisor counted restart %d", st.Restarts)
+			}
+			if n := runs.Load(); n != 1 {
+				return fmt.Sprintf("run %d started", n)
+			}
+			if g.index("save 2") >= 0 {
+				return "a second save started"
+			}
+			return ""
+		})
+		if fault.Load() {
+			t.Fatal("the injected source fault never fired")
+		}
+		g.release()
+		c.ingestAll(cfg.ID, strings.Join(lines[101:], ""))
+		c.waitCheckpoint(cfg.ID, 150)
+		if _, st := c.status(cfg.ID); st.Restarts != 1 || st.State != StateRunning {
+			t.Fatalf("after the release: %d restarts, state %s; want 1 restart, running", st.Restarts, st.State)
+		}
+		saved, run2, save2 := g.index("saved 100"), g.index("run 2"), g.index("save 2")
+		if saved < 0 || run2 < saved || save2 < run2 {
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			t.Fatalf("events %q: want the parked save to return (saved 100) before run 2 and its save 2", g.events)
+		}
+	})
 }
 
 // TestMemoryOnlyRestartFromSnapshot: a memory-only stream restarts from its

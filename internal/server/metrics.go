@@ -195,6 +195,14 @@ func (m *serverMetrics) streamCounters(id string) (records, windows *telemetry.C
 	return records, windows
 }
 
+// dropStream unregisters every {stream=id} series: the throughput
+// counters, the pull gauges and the WAL segment gauge.
+func (m *serverMetrics) dropStream(id string) {
+	if m != nil {
+		m.reg.DropLabel("stream", id)
+	}
+}
+
 func (m *serverMetrics) setInflight(v int64) {
 	if m != nil {
 		m.inflight.Set(float64(v))

@@ -334,6 +334,85 @@ func runCrashSpec(t *testing.T, sp crashSpec) {
 	}
 }
 
+// TestRecoverScansSinceAnchor: a crashed stream's WAL holds about the lines
+// since its third-newest full anchor, not the whole stream, so recovery's
+// scan stays bounded as the stream ages. A durable stream with a full
+// snapshot every third checkpoint is fed in lockstep (each POST waits for
+// its window) past at least six full anchors, plus a tail that completes no
+// window, and aborted. The frames left on disk must number at most three
+// anchor intervals plus the lines past the newest checkpoint, under the
+// default segment cap and a small one, and Recover must replay exactly the
+// lines past the checkpoint.
+func TestRecoverScansSinceAnchor(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		segBytes int64
+		records  int
+	}{
+		{"default-cap", 0, 1400},
+		{"small-cap", 2 << 10, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const tail = 20
+			root := t.TempDir()
+			cfg := testConfig("s", 8)
+			cfg.CheckpointFullEvery = 3
+			interval := cfg.PublishEvery * cfg.CheckpointFullEvery
+			if anchors := (tc.records-cfg.Window)/interval + 1; anchors < 6 {
+				t.Fatalf("%d records make %d full anchors, want at least 6", tc.records, anchors)
+			}
+			lines := strings.SplitAfter(genInput(t, 8, tc.records+tail), "\n")
+
+			srv1, c1 := newTestServer(t, Options{DataDir: root, WALSegmentBytes: tc.segBytes})
+			c1.create(cfg)
+			for fed := 0; fed < tc.records; {
+				next := fed + cfg.PublishEvery
+				c1.ingestAll(cfg.ID, strings.Join(lines[fed:next], ""))
+				fed = next
+				if fed >= cfg.Window {
+					c1.waitCheckpoint(cfg.ID, uint64(fed))
+				}
+			}
+			c1.ingestAll(cfg.ID, strings.Join(lines[tc.records:tc.records+tail], ""))
+			srv1.Abort()
+
+			dir := filepath.Join(root, "streams", cfg.ID)
+			store, err := checkpoint.NewStore(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, _, err := store.Latest()
+			if err != nil || snap == nil {
+				t.Fatalf("newest checkpoint: %v, %v", snap, err)
+			}
+			past := tc.records + tail - int(snap.Records+snap.BadRecords)
+			if past != tail {
+				t.Fatalf("%d lines past the newest checkpoint, want the %d-line tail", past, tail)
+			}
+			lg, rep, err := wal.Open(dir, wal.Options{SegmentBytes: tc.segBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs := lg.SegmentCount()
+			lg.Close()
+			if bound := 3*interval + past; rep.Frames > bound {
+				t.Errorf("the WAL holds %d frames in %d segments after %d lines, want at most %d (3 anchor intervals of %d + %d past the checkpoint)",
+					rep.Frames, segs, tc.records+tail, bound, interval, past)
+			}
+
+			srv2, _ := newTestServer(t, Options{DataDir: root, WALSegmentBytes: tc.segBytes})
+			rrep, err := srv2.Recover()
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if rrep.Adopted != 1 || rrep.Replayed != past {
+				t.Errorf("recover adopted %d and replayed %d lines, want 1 and the %d past the checkpoint",
+					rrep.Adopted, rrep.Replayed, past)
+			}
+		})
+	}
+}
+
 // TestRecoverManifestStates pins that durable lifecycle states survive the
 // kill: a stream quarantined before the crash comes back quarantined with
 // its LastError, next to a healthy neighbor that comes back running.

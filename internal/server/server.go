@@ -75,8 +75,9 @@ type Options struct {
 	// a stream manifest at DataDir/manifest.json that Recover uses to
 	// rebuild the registry after a crash.
 	DataDir string
-	// WALSegmentBytes rotates each stream's ingest WAL into a new segment
-	// once the active one exceeds this size (0: the wal package default).
+	// WALSegmentBytes caps the size of each stream's ingest WAL segments (0:
+	// the wal package default). Segments normally end at full checkpoint
+	// anchors; the cap ends those of streams whose anchors lie far apart.
 	WALSegmentBytes int64
 	// MaxStreams caps concurrently hosted streams (default 1024); create
 	// beyond it is refused with 503.
@@ -532,9 +533,10 @@ func (s *Server) buildStream(cfg StreamConfig, scheme core.Scheme) (*stream, fun
 	st.mRecords, st.mWindows = s.metrics.streamCounters(cfg.ID)
 	// Pull-style per-stream gauges: read the live channel length / atomic
 	// stamp at scrape time, costing the hot path nothing. The registry
-	// keeps the first function registered for a label set, so they look the
-	// id up at scrape time rather than close over this stream object, which
-	// a delete and re-create of the id replaces; no stream reads 0.
+	// keeps the first function registered for a label set, and a create
+	// that fails after this point leaves its series registered (only Delete
+	// drops them), so they look the id up at scrape time rather than close
+	// over this stream object; no stream reads 0.
 	s.metrics.streamQueueDepth(cfg.ID, s.streamGauge(cfg.ID, func(st *stream) float64 { return float64(len(st.queue)) }))
 	s.metrics.streamCheckpointAge(cfg.ID, s.streamGauge(cfg.ID, (*stream).checkpointAge))
 	st.runCtx, st.stop = context.WithCancel(s.ctx)
@@ -841,17 +843,21 @@ func (s *Server) CloseIngest(id string) (StreamStatus, error) {
 }
 
 // Delete stops a stream promptly (no final drain — use CloseIngest first
-// for a graceful end) and removes it from the registry, the manifest, and
-// the disk: checkpoints, WAL, and token journal are reclaimed.
+// for a graceful end) and removes it from the registry, the manifest, the
+// disk (checkpoints, WAL, and token journal are reclaimed) and /metrics.
 func (s *Server) Delete(id string) error {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	st := sh.m[id]
-	delete(sh.m, id)
-	sh.mu.Unlock()
-	if st == nil {
+	st := s.get(id)
+	if st == nil || !st.deleting.CompareAndSwap(false, true) {
 		return fmt.Errorf("%w: %s", errStreamNotFound, id)
 	}
+	// Drop the id's series while the id still maps to st: until the removal
+	// below a create of the same id is refused, so every series a later
+	// create registers is its own.
+	s.metrics.dropStream(id)
+	sh := s.shard(id)
+	sh.mu.Lock()
+	delete(sh.m, id)
+	sh.mu.Unlock()
 	s.nstreams.Add(-1)
 	st.stop()
 	st.unpause()

@@ -246,6 +246,23 @@ func (c *tClient) waitState(id, want string, timeout time.Duration) StreamStatus
 	}
 }
 
+// waitCheckpoint polls until stream id's newest checkpoint covers at least
+// records well-formed records.
+func (c *tClient) waitCheckpoint(id string, records uint64) {
+	c.t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		_, st := c.status(id)
+		if st.CheckpointRecords >= records {
+			return
+		}
+		if time.Now().After(deadline) {
+			c.t.Fatalf("stream %s checkpointed %d records, want %d", id, st.CheckpointRecords, records)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func (c *tClient) windows(id string) map[int]string {
 	c.t.Helper()
 	resp, body := c.do("GET", "/v1/streams/"+id+"/windows", nil)

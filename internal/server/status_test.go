@@ -5,12 +5,14 @@ package server
 // without racing the ingest path.
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/wal"
 )
 
 // TestStatusConcurrentWithIngest polls a stream's status while 3,000 lines
@@ -71,11 +73,26 @@ func TestStatusConcurrentWithIngest(t *testing.T) {
 	}
 }
 
+// seriesValue reads one series of a registry snapshot.
+func seriesValue(reg *telemetry.Registry, name, labels string) (float64, bool) {
+	for _, f := range reg.Snapshot() {
+		if f.Name != name {
+			continue
+		}
+		for _, s := range f.Series {
+			if s.Labels == labels {
+				return s.Value, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // TestStreamGaugesFollowRecreatedStream deletes and re-creates stream id x,
 // then feeds the new stream until its last window checkpoints. The
 // per-stream checkpoint-age gauge must read the live stream — between two
-// status reads of its last_checkpoint_age — and after a final delete both
-// per-stream gauges read 0.
+// status reads of its last_checkpoint_age — and after a final delete
+// neither per-stream gauge has a series for x.
 func TestStreamGaugesFollowRecreatedStream(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv, c := newTestServer(t, Options{Registry: reg})
@@ -89,29 +106,13 @@ func TestStreamGaugesFollowRecreatedStream(t *testing.T) {
 	del()
 	c.create(cfg)
 	c.ingestAll(cfg.ID, genInput(t, 6, 300))
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, st := c.status(cfg.ID); st.CheckpointRecords == 300 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stream x never checkpointed its last window")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	c.waitCheckpoint(cfg.ID, 300)
 	gauge := func(name string) float64 {
-		for _, f := range reg.Snapshot() {
-			if f.Name != name {
-				continue
-			}
-			for _, s := range f.Series {
-				if s.Labels == `{stream="x"}` {
-					return s.Value
-				}
-			}
+		v, ok := seriesValue(reg, name, `{stream="x"}`)
+		if !ok {
+			t.Fatalf("no %s series for stream x", name)
 		}
-		t.Fatalf("no %s series for stream x", name)
-		return 0
+		return v
 	}
 
 	before, err := srv.Status(cfg.ID)
@@ -130,8 +131,59 @@ func TestStreamGaugesFollowRecreatedStream(t *testing.T) {
 
 	del()
 	for _, name := range []string{MetricCheckpointAge, MetricQueueDepth} {
-		if v := gauge(name); v != 0 {
-			t.Errorf("%s reads %v after stream x was deleted, want 0", name, v)
+		if v, ok := seriesValue(reg, name, `{stream="x"}`); ok {
+			t.Errorf("%s still has a series for stream x (reading %v) after it was deleted", name, v)
+		}
+	}
+}
+
+// TestDeleteDropsStreamSeries: deleting durable stream x removes every
+// {stream="x"} series from the scrape — throughput counters, pull gauges
+// and the WAL segment gauge — and leaves neighbor x2's alone; a re-created
+// x counts from 0.
+func TestDeleteDropsStreamSeries(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	_, c := newTestServer(t, Options{DataDir: t.TempDir(), Registry: reg})
+	perStream := []string{MetricStreamRecords, MetricStreamWindows, MetricQueueDepth,
+		MetricCheckpointAge, wal.MetricSegments}
+	scrapeLines := func(labels string) []string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, ln := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(ln, labels) {
+				out = append(out, ln)
+			}
+		}
+		return out
+	}
+	for _, id := range []string{"x", "x2"} {
+		c.create(testConfig(id, 7))
+		c.ingestAll(id, genInput(t, 7, 120))
+		c.waitCheckpoint(id, 100)
+	}
+	for _, name := range perStream {
+		if _, ok := seriesValue(reg, name, `{stream="x"}`); !ok {
+			t.Fatalf("no %s series for stream x before the delete", name)
+		}
+	}
+
+	if resp, body := c.do("DELETE", "/v1/streams/x", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete x: %d %s", resp.StatusCode, body)
+	}
+	if lines := scrapeLines(`stream="x"`); len(lines) > 0 {
+		t.Errorf("deleted stream x still scrapes:\n%s", strings.Join(lines, "\n"))
+	}
+	if got := len(scrapeLines(`stream="x2"`)); got != len(perStream) {
+		t.Errorf("neighbor x2 scrapes %d series after x was deleted, want %d", got, len(perStream))
+	}
+
+	c.create(testConfig("x", 7))
+	for _, name := range []string{MetricStreamRecords, MetricStreamWindows} {
+		if v, ok := seriesValue(reg, name, `{stream="x"}`); !ok || v != 0 {
+			t.Errorf("re-created x: %s reads %v (registered %v), want 0", name, v, ok)
 		}
 	}
 }

@@ -128,6 +128,8 @@ type stream struct {
 
 	runCtx context.Context
 	stop   context.CancelFunc
+	// deleting is claimed by the one Delete that tears the stream down.
+	deleting atomic.Bool
 
 	// progress is set by emit whenever a window is delivered; the
 	// supervisor uses it to reset the consecutive-failure breaker.
@@ -714,9 +716,11 @@ func (st *stream) noteReplayed(it queueItem) {
 //
 // The truncation additionally lags one full generation on purpose: restart
 // loads the newest READABLE snapshot, and if the newest file is lost to bit
-// rot the fallback generation still needs its WAL tail. The lag costs at
-// most one compaction interval of extra segments. A memory snapshot cannot
-// rot, so the retained tail is pruned up to the snapshot itself.
+// rot the fallback generation still needs its WAL tail. Each full save also
+// ends the active WAL segment at the next group sync, so a crashed stream
+// keeps about three compaction intervals of lines on disk, whatever the
+// segment size cap. A memory snapshot cannot rot, so the retained tail is
+// pruned up to the snapshot itself.
 func (st *stream) onCheckpointSave(sv checkpoint.Saved) {
 	st.lastCkptAt.Store(time.Now().UnixNano())
 	line := sv.Records + sv.BadRecords

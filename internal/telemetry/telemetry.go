@@ -26,6 +26,7 @@ package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -203,6 +204,7 @@ const (
 // series is one registered instrument under a family.
 type series struct {
 	labels string // canonical rendering, "" when unlabeled
+	set    Labels // the label set itself, for DropLabel
 	metric any    // *Counter | *Gauge | *GaugeFunc | *Histogram
 }
 
@@ -251,7 +253,7 @@ func (r *Registry) register(name, help, typ string, labels Labels, build func() 
 	if s := f.byLabels[key]; s != nil {
 		return s.metric
 	}
-	s := &series{labels: key, metric: build()}
+	s := &series{labels: key, set: maps.Clone(labels), metric: build()}
 	f.byLabels[key] = s
 	f.series = append(f.series, s)
 	sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
@@ -291,6 +293,29 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 		return h
 	}).(*Histogram)
 	return m
+}
+
+// DropLabel unregisters every series, in every family, whose labels
+// include name=value: the way to retire the series of an entity that is
+// gone, such as a deleted stream. Instruments already handed out keep
+// working but no longer show in snapshots, and registering the same name
+// and labels again builds a fresh instrument. A family left with no series
+// stays registered.
+func (r *Registry) DropLabel(name, value string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range r.families {
+		kept := f.series[:0]
+		for _, s := range f.series {
+			if v, ok := s.set[name]; ok && v == value {
+				delete(f.byLabels, s.labels)
+				continue
+			}
+			kept = append(kept, s)
+		}
+		clear(f.series[len(kept):])
+		f.series = kept
+	}
 }
 
 // Names returns every registered metric name, sorted. The doc-sync test

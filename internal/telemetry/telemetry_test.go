@@ -155,6 +155,37 @@ func TestRegistryIdempotentAndConflicts(t *testing.T) {
 	reg.Gauge("test_total", "", nil)
 }
 
+// TestDropLabel: dropping stream=a removes exactly the series carrying that
+// pair, across families and whatever other labels they have; a later
+// registration of the same series starts from zero.
+func TestDropLabel(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("recs_total", "", Labels{"stream": "a"}).Add(5)
+	reg.Counter("recs_total", "", Labels{"stream": "ab"}).Add(6)
+	reg.Gauge("depth", "", Labels{"stream": "a", "shard": "1"}).Set(2)
+	reg.GaugeFunc("age", "", Labels{"stream": "a"}, func() float64 { return 9 })
+	reg.Gauge("depth", "", Labels{"other": "a"}).Set(3)
+	reg.Counter("plain_total", "", nil).Inc()
+
+	reg.DropLabel("stream", "a")
+	var got []string
+	for _, f := range reg.Snapshot() {
+		for _, s := range f.Series {
+			got = append(got, f.Name+s.Labels)
+		}
+	}
+	want := []string{`depth{other="a"}`, `plain_total`, `recs_total{stream="ab"}`}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("series after dropping stream=a: %q, want %q", got, want)
+	}
+	if names := reg.Names(); !reflect.DeepEqual(names, []string{"age", "depth", "plain_total", "recs_total"}) {
+		t.Errorf("names after the drop: %q, want every family kept", names)
+	}
+	if v := reg.Counter("recs_total", "", Labels{"stream": "a"}).Value(); v != 0 {
+		t.Errorf("re-registered counter starts at %d, want 0", v)
+	}
+}
+
 // buildFixtureRegistry populates a registry with one of each instrument
 // kind, labeled and unlabeled, with deterministic values — shared by the
 // golden-file and JSON tests.

@@ -7,7 +7,10 @@
 // memory-only stream replays its retained in-memory tail. The log is
 // truncated only up to full-snapshot anchors — never delta frames — so the
 // tail always covers everything past the anchor and a lost or corrupt delta
-// chain costs replay time, not data (see TruncateBefore).
+// chain costs replay time, not data. Each full anchor also ends a segment,
+// so the segments a recovery scans hold about the lines since the last few
+// anchors, not whatever the size cap let one segment gather (see
+// TruncateBefore).
 //
 // Segment format, frozen at version 1 (file name wal-%016d.seg, the
 // zero-padded base line making lexical order equal stream order):
@@ -70,7 +73,9 @@ const (
 	kindBad  = 1
 )
 
-// DefaultSegmentBytes is the rotation threshold when Options does not set one.
+// DefaultSegmentBytes is the segment size cap when Options does not set one.
+// Segments normally end at full checkpoint anchors (see TruncateBefore); the
+// cap ends those of streams whose anchors lie far apart.
 const DefaultSegmentBytes = 4 << 20
 
 // SegmentGlob matches segment files and TokensName is the token journal's
@@ -126,7 +131,9 @@ type Record struct {
 
 // Options configures a Log.
 type Options struct {
-	// SegmentBytes is the rotation threshold (default DefaultSegmentBytes).
+	// SegmentBytes caps a segment's size (default DefaultSegmentBytes): the
+	// Sync that takes a segment past it seals the segment, whether or not a
+	// full checkpoint anchor ended it first.
 	SegmentBytes int64
 	// Logf, when non-nil, receives warnings the log absorbs (torn tails,
 	// corrupt segments dropped during recovery).
@@ -158,8 +165,8 @@ type segment struct {
 
 // Log is one stream's write-ahead log. Appends buffer in memory; Sync
 // flushes and fsyncs them as one group (the per-request durability barrier)
-// and rotates segments past the size threshold. All methods are safe for
-// concurrent use.
+// and then seals the segment when a full anchor armed a roll or the segment
+// outgrew the size cap. All methods are safe for concurrent use.
 type Log struct {
 	// CrashHook, when non-nil, is consulted with each crash point and the
 	// 1-based sync number; returning true simulates a process crash there.
@@ -180,6 +187,7 @@ type Log struct {
 	last    uint64   // last appended line (buffered included)
 	lastSeq uint64   // last appended good seq (buffered included)
 	syncs   int
+	roll    bool  // TruncateBefore saw a full anchor: seal the segment at the next Sync
 	failed  error // a Sync failed; the log refuses further writes
 
 	m *metricsSet
@@ -532,8 +540,9 @@ func (l *Log) Append(r Record) error {
 }
 
 // Sync makes every buffered frame durable — one write plus one fsync per
-// ingest request, whatever the record count — and rotates the segment once
-// it outgrows the threshold. A no-op when nothing is buffered.
+// ingest request, whatever the record count — and then seals the segment
+// after a full anchor (see TruncateBefore) or once it outgrows the size cap.
+// A no-op when nothing is buffered.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -581,7 +590,9 @@ func (l *Log) syncLocked() error {
 	l.activeSize += int64(len(l.buf))
 	l.buf = l.buf[:0]
 	l.pending = l.pending[:0]
-	if l.activeSize >= l.segBytes {
+	// The buffer is empty and the segment holds at least the frames just
+	// written, so the successor's base is the next line and is new.
+	if l.roll || l.activeSize >= l.segBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}
@@ -594,12 +605,13 @@ func (l *Log) crash(point string) bool {
 }
 
 // rotate seals the active segment and starts a new one based at the next
-// line. Caller holds l.mu.
+// line, which satisfies an armed roll. Caller holds l.mu.
 func (l *Log) rotate() error {
 	if err := l.active.Close(); err != nil {
 		return fmt.Errorf("wal: sealing segment: %w", err)
 	}
 	l.active = nil
+	l.roll = false
 	return l.newSegment(l.last + 1)
 }
 
@@ -631,18 +643,24 @@ func (l *Log) newSegment(base uint64) error {
 	return nil
 }
 
-// TruncateBefore removes sealed segments fully covered by line (every frame
-// at or below it) — wired to checkpoint.Store.OnSave with the checkpoint's
-// consumed-line position, keeping the tail exactly the records past the
-// newest checkpoint (at segment granularity; the active segment is never
-// removed).
+// TruncateBefore is the full-checkpoint notification. It removes sealed
+// segments fully covered by line (every frame at or below it) and arms a
+// roll: the next Sync seals the active segment, so every full anchor ends a
+// segment and the log keeps, at segment granularity, about the lines since
+// the caller's floor, however far apart size rotations fall. The active
+// segment is never removed.
+//
+// The roll waits for that Sync rather than happening here: frames may be
+// buffered now, and a segment based past them would misplace them; and the
+// active segment may hold no frames yet, so its successor would reuse its
+// base.
 //
 // With delta checkpointing the caller must pass the line of the newest FULL
 // snapshot anchor, never a delta frame's: a delta is recoverable only by
 // replaying its chain from the anchor, so the records between the anchor and
 // the chain tip must stay in the log or a corrupt chain tail would strand
-// them (internal/server advances the floor only at full saves, lagging one
-// full generation).
+// them (internal/server calls this at full saves only, with the floor
+// lagging one full generation).
 func (l *Log) TruncateBefore(line uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -653,6 +671,7 @@ func (l *Log) TruncateBefore(line uint64) error {
 		// would pull segments out from under its recovery.
 		return nil
 	}
+	l.roll = true
 	removed := false
 	for len(l.segs) > 1 && l.segs[1].base <= line+1 {
 		if err := os.Remove(l.segs[0].path); err != nil {
