@@ -27,7 +27,7 @@ import (
 
 // pinBounds: measured steady state is 2 allocs/window at workers=1 and
 // ~9 at workers=8 (7 helper goroutines + their key buffers + scheduling).
-// A memo miss adds the bias DP's ~13 flat slices, sized once per call.
+// A memo miss adds the bias DP's ~9 buffers, sized once per call.
 const (
 	allocBoundWorkers1 = 16
 	allocBoundWorkers8 = 96
