@@ -144,27 +144,13 @@ func TestStreamGaugesFollowRecreatedStream(t *testing.T) {
 func TestDeleteDropsStreamSeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	_, c := newTestServer(t, Options{DataDir: t.TempDir(), Registry: reg})
-	perStream := []string{MetricStreamRecords, MetricStreamWindows, MetricQueueDepth,
-		MetricCheckpointAge, wal.MetricSegments}
-	scrapeLines := func(labels string) []string {
-		var buf bytes.Buffer
-		if err := reg.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for _, ln := range strings.Split(buf.String(), "\n") {
-			if strings.Contains(ln, labels) {
-				out = append(out, ln)
-			}
-		}
-		return out
-	}
+	scrapeLines := func(labels string) []string { return scrapeLines(t, reg, labels) }
 	for _, id := range []string{"x", "x2"} {
 		c.create(testConfig(id, 7))
 		c.ingestAll(id, genInput(t, 7, 120))
 		c.waitCheckpoint(id, 100)
 	}
-	for _, name := range perStream {
+	for _, name := range durableStreamSeries {
 		if _, ok := seriesValue(reg, name, `{stream="x"}`); !ok {
 			t.Fatalf("no %s series for stream x before the delete", name)
 		}
@@ -176,14 +162,97 @@ func TestDeleteDropsStreamSeries(t *testing.T) {
 	if lines := scrapeLines(`stream="x"`); len(lines) > 0 {
 		t.Errorf("deleted stream x still scrapes:\n%s", strings.Join(lines, "\n"))
 	}
-	if got := len(scrapeLines(`stream="x2"`)); got != len(perStream) {
-		t.Errorf("neighbor x2 scrapes %d series after x was deleted, want %d", got, len(perStream))
+	if got := len(scrapeLines(`stream="x2"`)); got != len(durableStreamSeries) {
+		t.Errorf("neighbor x2 scrapes %d series after x was deleted, want %d", got, len(durableStreamSeries))
 	}
 
 	c.create(testConfig("x", 7))
 	for _, name := range []string{MetricStreamRecords, MetricStreamWindows} {
 		if v, ok := seriesValue(reg, name, `{stream="x"}`); !ok || v != 0 {
 			t.Errorf("re-created x: %s reads %v (registered %v), want 0", name, v, ok)
+		}
+	}
+}
+
+// durableStreamSeries are the {stream=id} series a durable stream
+// registers.
+var durableStreamSeries = []string{MetricStreamRecords, MetricStreamWindows, MetricQueueDepth,
+	MetricCheckpointAge, wal.MetricSegments}
+
+// scrapeLines returns the lines of reg's Prometheus scrape that contain
+// labels.
+func scrapeLines(t *testing.T, reg *telemetry.Registry, labels string) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, ln := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(ln, labels) {
+			out = append(out, ln)
+		}
+	}
+	return out
+}
+
+// TestFailedCreateLeavesNoSeries: a create registers its {stream=id}
+// series before the pipeline config is validated and before the lease,
+// store and WAL open, and DELETE of an id that was never created answers
+// 404, so a create that fails must drop them itself — without touching the
+// series of a concurrent create of the same id that won.
+func TestFailedCreateLeavesNoSeries(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	srv, c := newTestServer(t, Options{DataDir: dir, Registry: reg})
+
+	// Rejected by the pipeline's config check.
+	ghost := `{"id":"ghost","window":0,"epsilon":0.1,"delta":0.4,"min_support":10,"vuln_support":5,"scheme":"hybrid","lambda":0.4,"seed":7}`
+	if resp, body := c.do("POST", "/v1/streams", strings.NewReader(ghost)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create ghost: %d %s, want 400", resp.StatusCode, body)
+	}
+	if lines := scrapeLines(t, reg, `stream="ghost"`); len(lines) > 0 {
+		t.Errorf("failed create of ghost left series:\n%s", strings.Join(lines, "\n"))
+	}
+
+	// Refused at the lease: a second server over the same data dir, whose
+	// stream directory the first one's lease holds.
+	c.create(testConfig("held", 7))
+	reg2 := telemetry.NewRegistry()
+	srv2 := New(Options{DataDir: dir, Registry: reg2})
+	t.Cleanup(srv2.Abort)
+	if _, err := srv2.Create(testConfig("held", 7)); err == nil {
+		t.Fatal("second server created a stream whose lease the first one holds")
+	}
+	if lines := scrapeLines(t, reg2, `stream="held"`); len(lines) > 0 {
+		t.Errorf("create refused at the lease left series:\n%s", strings.Join(lines, "\n"))
+	}
+	if got := len(scrapeLines(t, reg, `stream="held"`)); got != len(durableStreamSeries) {
+		t.Errorf("the lease holder scrapes %d series, want %d", got, len(durableStreamSeries))
+	}
+
+	// Concurrent creates of one id: the losers fail (at the claim, or at
+	// the lease the winner holds) and must leave the winner's series.
+	const racers = 6
+	errs := make(chan error, racers)
+	for range racers {
+		go func() {
+			_, err := srv.Create(testConfig("race", 7))
+			errs <- err
+		}()
+	}
+	won := 0
+	for range racers {
+		if err := <-errs; err == nil {
+			won++
+		}
+	}
+	if won != 1 {
+		t.Fatalf("%d of %d concurrent creates of one id won, want 1", won, racers)
+	}
+	for _, name := range durableStreamSeries {
+		if _, ok := seriesValue(reg, name, `{stream="race"}`); !ok {
+			t.Errorf("the winning create lost its %s series to the losers", name)
 		}
 	}
 }
