@@ -1,6 +1,6 @@
 // Command bench is the repository's scripted perf harness: it runs a fixed
 // scenario suite — Eclat and Moment mining, the hybrid scheme's bias
-// optimization at γ = 2 and 3, pipeline publication at worker tiers 1/2/8,
+// optimization at γ = 2, 3 and 4, pipeline publication at worker tiers 1/2/8,
 // and checkpointed runs (all-full snapshots and delta chains) — through
 // testing.Benchmark and
 // writes the measurements to BENCH_pipeline.json (ns/op, windows/sec,
@@ -226,7 +226,7 @@ func scenarios() []scenario {
 		{name: "mine/eclat", bench: benchEclat(records)},
 		{name: "mine/moment", windows: benchWindows, bench: benchMoment(records)},
 	}
-	for _, gamma := range []int{2, 3} {
+	for _, gamma := range []int{2, 3, 4} {
 		s = append(s, scenario{
 			name:    fmt.Sprintf("bias/hybrid-gamma=%d", gamma),
 			windows: benchWindows,

@@ -43,7 +43,7 @@ func TestBenchSuiteWellFormedJSON(t *testing.T) {
 
 	wantScenarios := []string{
 		"mine/eclat", "mine/moment",
-		"bias/hybrid-gamma=2", "bias/hybrid-gamma=3",
+		"bias/hybrid-gamma=2", "bias/hybrid-gamma=3", "bias/hybrid-gamma=4",
 		"publish/workers=1", "publish/workers=2", "publish/workers=8",
 		"publish/checkpointed", "publish/checkpointed-delta",
 	}
