@@ -129,8 +129,8 @@ func benchMoment(records []itemset.Itemset) func(b *testing.B) {
 
 // benchBias times the hybrid scheme's bias optimization (λ = 0.4) at
 // lookback γ over the FEC ladders of the corpus's publications — the
-// per-layer γ sweep of Fig. 6. Every ladder runs the DP (there is no memo
-// here), so allocs/op pins the order-preserving kernel's per-call
+// per-layer γ sweep of Fig. 6. Every ladder runs the DP, as every published
+// window does, so allocs/op pins the order-preserving kernel's per-call
 // allocations.
 func benchBias(records []itemset.Itemset, gamma int) func(b *testing.B) {
 	var ladders [][]fec.Class

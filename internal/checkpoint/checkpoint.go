@@ -1,8 +1,8 @@
 // Package checkpoint makes the streaming publication pipeline crash-safe:
 // it serializes the state a resumed run needs — the source position, the
 // sliding-window transaction buffer, and the full publisher state (window
-// counter, RNG cursor, republication cache, incremental-bias memo) — and
-// manages a directory of checkpoint generations.
+// counter, RNG cursor, republication cache) — and manages a directory of
+// checkpoint generations.
 //
 // The correctness bar is deterministic resume: a run killed at any
 // checkpointed window boundary and restarted from the newest recoverable
@@ -48,7 +48,9 @@
 //   - Decode and DecodeDelta never panic: torn, truncated, bit-flipped or
 //     fabricated input surfaces as an error wrapping ErrCorrupt, and a
 //     future-version header as one wrapping ErrVersion. Both formats are
-//     canonical — decode then re-encode reproduces the input bytes.
+//     canonical — decode then re-encode reproduces the input bytes — except
+//     for a bias memo an earlier build wrote, which re-encodes empty (see
+//     appendPublisher).
 //   - Recovery (Store.LatestDetail) walks fulls newest-first, skipping
 //     undecodable ones, then applies the chosen full's valid chain prefix.
 //     One corrupt file costs at most one generation of progress.
@@ -140,7 +142,7 @@ func Encode(s *Snapshot) ([]byte, error) {
 	b = binary.AppendUvarint(b, s.Published)
 	b = appendRecords(b, s.Window)
 	st := &s.Publisher
-	b = appendMemo(b, st.Window, st.RNG, st.BiasReuses, st.Ladder, st.Biases)
+	b = appendPublisher(b, st.Window, st.RNG)
 	b = appendEntries(b, st.Cache)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
 }
@@ -170,7 +172,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	s.Published = r.Uvarint()
 	s.Window = readRecords(r, "window records")
 	st := &s.Publisher
-	st.Window, st.RNG, st.BiasReuses, st.Ladder, st.Biases = readMemo(r)
+	st.Window, st.RNG = readPublisher(r)
 	st.Cache = readEntries(r, "cache entries")
 	if err := r.Done(); err != nil {
 		return nil, err
@@ -180,8 +182,8 @@ func Decode(data []byte) (*Snapshot, error) {
 
 // The payload parts below are shared by both formats where they carry the
 // same data: a full snapshot's window buffer and a delta's appended records
-// are one record list, and both write the publisher memo and a cache-entry
-// list (the whole cache, or the upserts) in identical bytes.
+// are one record list, and both write the publisher scalars and a
+// cache-entry list (the whole cache, or the upserts) in identical bytes.
 
 func appendMeta(b []byte, m Meta) []byte {
 	b = binary.AppendVarint(b, int64(m.WindowSize))
@@ -250,39 +252,36 @@ func readRecords(r *frame.Reader, what string) []itemset.Itemset {
 	return recs
 }
 
-// appendMemo writes the publisher's scalars and incremental-bias memo.
-func appendMemo(b []byte, window int, rng uint64, reuses int, ladder []core.LadderRung, biases []int) []byte {
+// appendPublisher writes the publisher's window counter and RNG cursor, then
+// an empty memo block: a zero bias-reuse counter, no ladder rungs and no
+// biases. Earlier builds kept a cross-window bias memo there; the block
+// stays, so the format version stays and their readers accept these bytes.
+func appendPublisher(b []byte, window int, rng uint64) []byte {
 	b = binary.AppendVarint(b, int64(window))
 	b = binary.LittleEndian.AppendUint64(b, rng)
-	b = binary.AppendVarint(b, int64(reuses))
-	b = binary.AppendUvarint(b, uint64(len(ladder)))
-	for _, r := range ladder {
-		b = binary.AppendVarint(b, int64(r.Support))
-		b = binary.AppendVarint(b, int64(r.Size))
-	}
-	b = binary.AppendUvarint(b, uint64(len(biases)))
-	for _, bias := range biases {
-		b = binary.AppendVarint(b, int64(bias))
-	}
-	return b
+	return append(b, 0, 0, 0)
 }
 
-func readMemo(r *frame.Reader) (window int, rng uint64, reuses int, ladder []core.LadderRung, biases []int) {
+// readPublisher reads what appendPublisher wrote. A memo block an earlier
+// build wrote is checked as strictly as that build checked it — it is bytes
+// from outside the program — and dropped: the biases are recomputed every
+// window, so it holds nothing a publisher needs.
+func readPublisher(r *frame.Reader) (window int, rng uint64) {
 	window = r.Int("publisher window counter", 0, math.MaxInt32)
 	rng = r.Uint64()
-	reuses = r.Int("bias reuse counter", 0, math.MaxInt32)
-	ladder = make([]core.LadderRung, r.Count("ladder rungs"))
-	for i := range ladder {
-		ladder[i].Support = r.Int("rung support", 0, math.MaxInt32)
-		ladder[i].Size = r.Int("rung size", 0, math.MaxInt32)
+	r.Int("bias reuse counter", 0, math.MaxInt32)
+	rungs := r.Count("ladder rungs")
+	for range rungs {
+		r.Int("rung support", 0, math.MaxInt32)
+		r.Int("rung size", 0, math.MaxInt32)
 	}
-	if biases = make([]int, r.Count("biases")); len(biases) != len(ladder) {
-		r.Fail("%d biases for %d ladder rungs", len(biases), len(ladder))
+	if biases := r.Count("biases"); biases != rungs {
+		r.Fail("%d biases for %d ladder rungs", biases, rungs)
 	}
-	for i := range biases {
-		biases[i] = r.Int("bias", math.MinInt32, math.MaxInt32)
+	for range rungs {
+		r.Int("bias", math.MinInt32, math.MaxInt32)
 	}
-	return window, rng, reuses, ladder, biases
+	return window, rng
 }
 
 // appendEntries writes a republication-cache entry list.

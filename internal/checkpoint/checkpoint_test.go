@@ -16,8 +16,7 @@ import (
 )
 
 // testSnapshot builds a snapshot exercising every field: a realistic window
-// buffer, a populated republication cache (with binary itemset keys), and a
-// non-empty bias memo.
+// buffer and a populated republication cache (with binary itemset keys).
 func testSnapshot(t testing.TB) *checkpoint.Snapshot {
 	t.Helper()
 	window := data.WebViewLike(5).Generate(40)
@@ -39,11 +38,8 @@ func testSnapshot(t testing.TB) *checkpoint.Snapshot {
 		Published:  217,
 		Window:     window,
 		Publisher: core.PublisherState{
-			Window:     217,
-			RNG:        0x0123456789ABCDEF,
-			BiasReuses: 12,
-			Ladder:     []core.LadderRung{{Support: 40, Size: 2}, {Support: 31, Size: 5}},
-			Biases:     []int{3, -2},
+			Window: 217,
+			RNG:    0x0123456789ABCDEF,
 			Cache: []core.CacheEntry{
 				{Key: itemset.New(1, 5).Key(), TrueSupport: 30, Sanitized: 33, LastSeen: 216},
 				{Key: itemset.New(2).Key(), TrueSupport: 41, Sanitized: 38, LastSeen: 217},

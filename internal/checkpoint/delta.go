@@ -7,8 +7,8 @@ package checkpoint
 // durability tax the delta format removes. Between full snapshots the store
 // appends CRC-framed deltas to a chain segment file: each frame carries only
 // what changed since its parent (records appended to the sliding window,
-// publisher cache upserts/evictions, the window counter, RNG cursor and bias
-// memo), and names its parent by record position AND checksum, so recovery
+// publisher cache upserts/evictions, the window counter and RNG cursor),
+// and names its parent by record position AND checksum, so recovery
 // can prove a frame extends exactly the state it is about to be applied to.
 //
 // On disk a chain lives beside its anchor full snapshot:
@@ -93,9 +93,6 @@ func appendDelta(b []byte, d *Delta, parentCRC uint32) ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint: delta records %d not past parent %d", d.Records, d.ParentRecords)
 	}
 	p := &d.Publisher
-	if len(p.Ladder) != len(p.Biases) {
-		return nil, fmt.Errorf("checkpoint: delta with %d ladder rungs but %d biases", len(p.Ladder), len(p.Biases))
-	}
 	if !sortedStrictCache(p.Upserts) {
 		return nil, fmt.Errorf("checkpoint: delta upserts not strictly sorted by key")
 	}
@@ -108,7 +105,7 @@ func appendDelta(b []byte, d *Delta, parentCRC uint32) ([]byte, error) {
 	b = binary.AppendUvarint(b, d.BadRecords)
 	b = binary.AppendUvarint(b, d.Published)
 	b = appendRecords(b, d.Appended)
-	b = appendMemo(b, p.Window, p.RNG, p.BiasReuses, p.Ladder, p.Biases)
+	b = appendPublisher(b, p.Window, p.RNG)
 	b = appendEntries(b, p.Upserts)
 	b = binary.AppendUvarint(b, uint64(len(p.Evicted)))
 	for _, k := range p.Evicted {
@@ -120,7 +117,8 @@ func appendDelta(b []byte, d *Delta, parentCRC uint32) ([]byte, error) {
 // DecodeDelta parses one frame payload, returning the delta and the embedded
 // parent checksum. Like Decode it never panics: every malformation is an
 // error wrapping ErrCorrupt. The decoded form is canonical — re-encoding it
-// with the returned parent CRC reproduces the input bytes.
+// with the returned parent CRC reproduces the input bytes, except that a
+// bias memo an earlier build wrote re-encodes as the empty memo block.
 func DecodeDelta(payload []byte) (*Delta, uint32, error) {
 	r := frame.NewReader(payload, ErrCorrupt)
 	d := &Delta{ParentRecords: r.Uvarint()}
@@ -132,7 +130,7 @@ func DecodeDelta(payload []byte) (*Delta, uint32, error) {
 	d.Published = r.Uvarint()
 	d.Appended = readRecords(r, "appended records")
 	p := &d.Publisher
-	p.Window, p.RNG, p.BiasReuses, p.Ladder, p.Biases = readMemo(r)
+	p.Window, p.RNG = readPublisher(r)
 	if p.Upserts = readEntries(r, "cache upserts"); !sortedStrictCache(p.Upserts) {
 		r.Fail("upsert keys not strictly sorted")
 	}
@@ -175,9 +173,6 @@ func ApplyDelta(s *Snapshot, d *Delta) error {
 			ErrCorrupt, len(d.Appended), grew, w)
 	}
 	p := &d.Publisher
-	if len(p.Ladder) != len(p.Biases) {
-		return fmt.Errorf("%w: %d biases for %d ladder rungs", ErrCorrupt, len(p.Biases), len(p.Ladder))
-	}
 	if p.Window < s.Publisher.Window {
 		return fmt.Errorf("%w: publisher window counter regresses %d -> %d", ErrCorrupt, s.Publisher.Window, p.Window)
 	}
@@ -192,9 +187,6 @@ func ApplyDelta(s *Snapshot, d *Delta) error {
 	ps := &s.Publisher
 	ps.Window = p.Window
 	ps.RNG = p.RNG
-	ps.BiasReuses = p.BiasReuses
-	ps.Ladder = append([]core.LadderRung(nil), p.Ladder...)
-	ps.Biases = append([]int(nil), p.Biases...)
 	if len(p.Upserts) > 0 || len(p.Evicted) > 0 {
 		merged := make(map[string]core.CacheEntry, len(ps.Cache)+len(p.Upserts))
 		for _, e := range ps.Cache {

@@ -18,7 +18,9 @@ import (
 // either a valid snapshot or an error wrapping ErrCorrupt/ErrVersion. It
 // must never panic, and a successful decode must re-encode to the exact
 // input (the format is canonical), so corruption can never round-trip
-// silently.
+// silently. The one exception is a bias memo an earlier build wrote: the
+// re-encode is then the input with that block emptied, and nothing else
+// changed.
 func FuzzCheckpointDecode(f *testing.F) {
 	valid, err := checkpoint.Encode(testSnapshot(f))
 	if err != nil {
@@ -47,6 +49,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	for _, b := range wrapGapSnapshots(f) {
 		f.Add(b)
 	}
+	f.Add(readGolden(f, legacySnapshot)) // carries a bias memo
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := checkpoint.Decode(data)
@@ -63,8 +66,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding a decoded snapshot: %v", err)
 		}
-		if string(re) != string(data) {
-			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(re))
+		// Exact when the memo block is empty, as every snapshot this build
+		// writes has it.
+		start, end := snapshotMemoSpan(t, data)
+		if string(re) != string(spliceMemo(data, start, end, emptyMemo, true)) {
+			t.Fatalf("decode/encode not canonical: %d bytes in (memo block %d bytes), %d out",
+				len(data), end-start, len(re))
 		}
 	})
 }
@@ -110,7 +117,7 @@ func testSegment(f *testing.F) []byte {
 // apply only a consistent prefix (the result still re-encodes as a valid
 // snapshot), and must apply nothing at all when the header does not bind to
 // the anchor. DecodeDelta is held to the same canonical-format contract as
-// the v1 decoder along the way.
+// the v1 decoder along the way, legacy memo included.
 func FuzzCheckpointDeltaChain(f *testing.F) {
 	seg := testSegment(f)
 	f.Add(seg)
@@ -125,6 +132,11 @@ func FuzzCheckpointDeltaChain(f *testing.F) {
 	f.Add([]byte("BFLYCKD2"))
 	f.Add([]byte{})
 	for _, p := range wrapGapDeltas(f) {
+		f.Add(p)
+	}
+	legacy := readGolden(f, legacyChain) // every frame carries a bias memo
+	f.Add(legacy)
+	for _, p := range chainPayloads(f, legacy) {
 		f.Add(p)
 	}
 
@@ -162,8 +174,10 @@ func FuzzCheckpointDeltaChain(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding a decoded delta: %v", err)
 		}
-		if string(re) != string(data) {
-			t.Fatalf("delta decode/encode not canonical: %d bytes in, %d out", len(data), len(re))
+		start, end := deltaMemoSpan(t, data)
+		if string(re) != string(spliceMemo(data, start, end, emptyMemo, false)) {
+			t.Fatalf("delta decode/encode not canonical: %d bytes in (memo block %d bytes), %d out",
+				len(data), end-start, len(re))
 		}
 	})
 }

@@ -14,16 +14,23 @@ import (
 // snapshot of testSnapshot, and the three-frame delta chain segment that
 // chainStore appends to it. Round-trip and canonical re-encode tests pass
 // even when the encoder and the decoder drift together; these do not.
+//
+// The legacy pair holds the same content as an earlier build wrote it, with
+// a cross-window bias memo in the snapshot and in every frame. This build
+// writes an empty memo block, so the legacy pair is decode-only input (see
+// legacy_test.go).
 const (
-	goldenSnapshot = "testdata/golden-v1.bfck"
-	goldenChain    = "testdata/golden-chain-v2.bfdl"
+	goldenSnapshot = "testdata/golden-v1-empty-memo.bfck"
+	goldenChain    = "testdata/golden-chain-v2-empty-memo.bfdl"
+	legacySnapshot = "testdata/golden-v1.bfck"
+	legacyChain    = "testdata/golden-chain-v2.bfdl"
 )
 
-func readGolden(t *testing.T, path string) []byte {
-	t.Helper()
+func readGolden(tb testing.TB, path string) []byte {
+	tb.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return b
 }

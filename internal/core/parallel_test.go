@@ -213,6 +213,7 @@ func TestPerturbationOffsetsUniform(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					biases := scheme.Biases(pub.classScratch, p)
 					for ci, class := range pub.classScratch {
 						members := class.Members
 						if scheme.SharedDraws() {
@@ -220,7 +221,7 @@ func TestPerturbationOffsetsUniform(t *testing.T) {
 						}
 						for _, m := range members {
 							s, _ := out.Support(m)
-							off := s - class.Support - pub.lastBiases[ci]
+							off := s - class.Support - biases[ci]
 							if off < -half || off > half {
 								t.Fatalf("%s workers=%d: offset %d outside ±%d", scheme.Name(), workers, off, half)
 							}

@@ -103,17 +103,8 @@ type Publisher struct {
 	// nothing published aliases it.
 	classScratch  []fec.Class       // FEC partition of the current window
 	memberScratch []itemset.Itemset // flat backing array for classScratch members
-	ladderScratch []ladderRung      // current window's ladder, compared to lastLadder
 	keyBuf        []byte            // AppendKey scratch for cache lookups
 	run           chunkRun          // the current window's chunked perturbation
-
-	// Incremental bias reuse (the paper's §VII "incremental version"
-	// future work): when consecutive windows produce the same FEC ladder —
-	// the same (support, class-size) sequence — the bias optimization would
-	// recompute the identical answer, so the previous biases are reused.
-	lastLadder []ladderRung
-	lastBiases []int
-	biasReuses int
 
 	// Delta-snapshot tracking (SetDeltaTracking): when deltaTrack is on,
 	// every cache mutation appends the entry to dirtyCache exactly once per
@@ -147,11 +138,6 @@ type Publisher struct {
 // boundaries, and therefore every chunk's RNG stream, are identical no
 // matter how many workers execute them.
 const publishChunkClasses = 4
-
-type ladderRung struct {
-	support int
-	size    int
-}
 
 type cacheEntry struct {
 	// key is the entry's own cache key (itemset.Itemset.Key()). It is stored
@@ -199,9 +185,11 @@ func (pub *Publisher) Scheme() Scheme { return pub.scheme }
 // warm-up).
 //
 // Publish is retry-safe: every error return leaves the publisher exactly as
-// it was before the call — window counter, RNG stream, republication cache
-// and bias memo untouched — so a supervised pipeline may retry the same
-// window and obtain the output a fault-free run would have published.
+// it was before the call — window counter, RNG stream and republication
+// cache untouched — so a supervised pipeline may retry the same window and
+// obtain the output a fault-free run would have published. The biases are
+// recomputed every window from the FEC ladder alone, so no bias state
+// carries over from a failed call.
 func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, error) {
 	if res == nil {
 		return nil, fmt.Errorf("core: nil mining result")
@@ -210,19 +198,18 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 	classes := pub.classScratch
 	// The bias.opt and cache spans are the publisher's only timers, so the
 	// clock is read only when a trace window is attached.
-	reusesBefore := pub.biasReuses
 	var t0 time.Time
 	if pub.tr != nil {
 		t0 = time.Now()
 	}
-	biases, err := pub.biasesFor(classes)
+	biases := pub.scheme.Biases(classes, pub.params)
 	if pub.tr != nil {
-		pub.tr.Add(trace.KindBiasOpt, t0, time.Since(t0)).
-			Attr(trace.AttrBiasReused, int64(pub.biasReuses-reusesBefore))
+		pub.tr.Add(trace.KindBiasOpt, t0, time.Since(t0))
 		t0 = time.Now()
 	}
-	if err != nil {
-		return nil, err
+	if len(biases) != len(classes) {
+		return nil, fmt.Errorf("core: scheme %s returned %d biases for %d classes",
+			pub.scheme.Name(), len(biases), len(classes))
 	}
 	alpha := pub.params.Alpha()
 	half := alpha / 2
@@ -458,52 +445,6 @@ func (pub *Publisher) SetWorkers(workers int) {
 // this once per window, before Publish, so the spans nest under the right
 // window track.
 func (pub *Publisher) SetTrace(w *trace.Window) { pub.tr = w }
-
-// biasesFor computes (or reuses) the per-class biases. The bias of a class
-// depends only on its support and size plus its neighbours' (all schemes are
-// functions of the FEC ladder), so when the ladder repeats between windows —
-// the common case under a slide of one record — the previous result is
-// returned without re-running the optimization.
-// A scheme returning the wrong number of biases is rejected BEFORE the memo
-// is written, so a misbehaving call can never poison later windows.
-func (pub *Publisher) biasesFor(classes []fec.Class) ([]int, error) {
-	ladder := pub.ladderScratch[:0]
-	for _, c := range classes {
-		ladder = append(ladder, ladderRung{support: c.Support, size: c.Size()})
-	}
-	pub.ladderScratch = ladder
-	if pub.lastBiases != nil && sameLadder(ladder, pub.lastLadder) {
-		pub.biasReuses++
-		pub.recordBiasReuse()
-		return pub.lastBiases, nil
-	}
-	biases := pub.scheme.Biases(classes, pub.params)
-	if len(biases) != len(classes) {
-		return nil, fmt.Errorf("core: scheme %s returned %d biases for %d classes",
-			pub.scheme.Name(), len(biases), len(classes))
-	}
-	// The memo must survive the scratch's next reuse: copy, reusing the
-	// memo's own capacity.
-	pub.lastLadder = append(pub.lastLadder[:0], ladder...)
-	pub.lastBiases = biases
-	return biases, nil
-}
-
-func sameLadder(a, b []ladderRung) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// BiasReuses reports how many Publish calls reused the previous window's
-// bias optimization (diagnostics for the incremental path).
-func (pub *Publisher) BiasReuses() int { return pub.biasReuses }
 
 // sweepCache evicts entries for itemsets that have not been published
 // recently, bounding memory on long streams without re-randomizing values

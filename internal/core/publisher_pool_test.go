@@ -1,7 +1,7 @@
 package core
 
 // Regression tests for the publisher's per-window scratch reuse (the FEC
-// partition arena, ladder memo, key buffer, and chunk-run buffers):
+// partition arena, key buffer, and chunk-run buffers):
 // published output must be byte-identical run over run, and an Output
 // handed out by Publish must never be disturbed by later windows reusing
 // the scratch it was assembled from.
@@ -18,7 +18,7 @@ import (
 )
 
 // poolTestSchemes covers the shared-draw (batched RNG) and per-itemset draw
-// paths plus the DP-backed scheme whose biases exercise the ladder memo.
+// paths plus the DP-backed schemes.
 func poolTestSchemes() []Scheme {
 	return []Scheme{Basic{}, Hybrid{Lambda: 0.4}, OrderPreserving{}}
 }

@@ -295,64 +295,6 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-// The incremental bias path: identical FEC ladders across windows reuse the
-// optimization; a changed ladder recomputes.
-func TestIncrementalBiasReuse(t *testing.T) {
-	pub, _ := NewPublisher(testParams(), OrderPreserving{Gamma: 2}, rng.New(21))
-	resA := resultWith(t, map[int][]itemset.Itemset{
-		30: {itemset.New(1)}, 35: {itemset.New(2)},
-	})
-	// Same ladder, different member identity: still reusable.
-	resB := resultWith(t, map[int][]itemset.Itemset{
-		30: {itemset.New(9)}, 35: {itemset.New(2)},
-	})
-	resC := resultWith(t, map[int][]itemset.Itemset{
-		30: {itemset.New(1)}, 36: {itemset.New(2)},
-	})
-	for _, r := range []*mining.Result{resA, resA, resB} {
-		if _, err := pub.Publish(r, 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := pub.BiasReuses(); got != 2 {
-		t.Errorf("BiasReuses = %d after identical ladders, want 2", got)
-	}
-	if _, err := pub.Publish(resC, 100); err != nil {
-		t.Fatal(err)
-	}
-	if got := pub.BiasReuses(); got != 2 {
-		t.Errorf("BiasReuses = %d after ladder change, want still 2", got)
-	}
-}
-
-// Bias reuse must not change published values relative to a publisher that
-// recomputes every window: the biases are a pure function of the ladder.
-func TestIncrementalBiasReuseSemanticsUnchanged(t *testing.T) {
-	res := resultWith(t, map[int][]itemset.Itemset{
-		30: {itemset.New(1)}, 40: {itemset.New(2)}, 55: {itemset.New(3)},
-	})
-	classes := fec.Partition(res)
-	p := testParams()
-	scheme := Hybrid{Lambda: 0.4}
-	want := scheme.Biases(classes, p)
-	pub, _ := NewPublisher(p, scheme, rng.New(5))
-	if _, err := pub.Publish(res, 100); err != nil {
-		t.Fatal(err)
-	}
-	got, err := pub.biasesFor(classes) // second call: the reuse path
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pub.BiasReuses() != 1 {
-		t.Fatalf("reuse path not taken")
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("reused bias[%d] = %d, fresh computation gives %d", i, got[i], want[i])
-		}
-	}
-}
-
 // flakyScheme misbehaves (wrong bias count) for its first failUntil calls,
 // then delegates to the wrapped scheme. It drives the Publish error paths
 // that the retry-safety contract covers.
@@ -371,7 +313,7 @@ func (s *flakyScheme) Biases(classes []fec.Class, p Params) []int {
 }
 
 // TestPublishRetrySafeAfterSchemeError: a Publish call that fails must leave
-// the publisher state (window counter, RNG, cache, bias memo) untouched, so
+// the publisher state (window counter, RNG, cache) untouched, so
 // the retried call publishes exactly what a fault-free publisher would have.
 func TestPublishRetrySafeAfterSchemeError(t *testing.T) {
 	res := resultWith(t, map[int][]itemset.Itemset{

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -173,8 +172,8 @@ func (s OrderPreserving) appendCandidates(dst []int, p Params, t int) []int {
 }
 
 // grids returns every class's candidate grid and the widest grid's length.
-// The grids are carved from one flat slice sized for the worst case, so an
-// un-memoized Publish pays two allocations here whatever the class count.
+// The grids are carved from one flat slice sized for the worst case, so a
+// Publish pays two allocations here whatever the class count.
 func (s OrderPreserving) grids(classes []fec.Class, p Params) (cands [][]int, maxGrid int) {
 	flat := make([]int, 0, len(classes)*(s.gridSize()+1))
 	cands = make([][]int, len(classes))
@@ -202,8 +201,8 @@ func (s OrderPreserving) Biases(classes []fec.Class, p Params) []int {
 	return out
 }
 
-// capLimit caps the states a call's buffers are sized for up front; a
-// MaxStates large enough to need more grows them on demand.
+// capLimit caps the states a call's buffers are sized for up front, per
+// tier; a MaxStates large enough to need more grows them on demand.
 const capLimit = 1 << 16
 
 // noCost marks a digit no live state of a suffix group has.
@@ -272,12 +271,12 @@ type kernel struct {
 	// state's own newest digit.
 	hist  []uint32
 	start []int
+	// low[i] is class i's lowest digit that ends a chain from class 0 (set
+	// by bound).
+	low []int
 	// Two tier buffers: one holds the states after the previous class, the
-	// other receives the next tier.
+	// other receives the next tier, or serves the beam as selection scratch.
 	bufs [2][]state
-	// The beam's selection scratch.
-	costs []int64
-	keys  []uint64
 }
 
 func newKernel(classes []fec.Class, cands [][]int, g, gamma, beam int, p Params) kernel {
@@ -297,25 +296,21 @@ func newKernel(classes []fec.Class, cands [][]int, g, gamma, beam int, p Params)
 	nt := (gamma - 1) * g * g
 	lx := make([]int64, nt+3*g)
 	k.tab, k.col, k.pm, k.ret = lx[:nt], lx[nt:nt+g], lx[nt+g:nt+2*g], lx[nt+2*g:]
-	ix := make([]int, (gamma+5)*g+1+gamma+n)
+	ix := make([]int, (gamma+5)*g+1+gamma+2*n)
 	k.colPos, k.pmArg, k.dlo, k.a0, k.a1 = ix[:g], ix[g:2*g], ix[2*g:3*g], ix[3*g:4*g], ix[4*g:5*g]
 	k.off, ix = ix[5*g:6*g+1], ix[6*g+1:]
-	k.tabEnd, k.rows, k.start = ix[:(gamma-1)*g], ix[(gamma-1)*g:(gamma-1)*g+gamma], ix[(gamma-1)*g+gamma:]
+	k.tabEnd, k.rows, ix = ix[:(gamma-1)*g], ix[(gamma-1)*g:(gamma-1)*g+gamma], ix[(gamma-1)*g+gamma:]
+	k.start, k.low = ix[:n], ix[n:]
 	return k
 }
 
 // run fills out with the cheapest chain's biases.
 func (k *kernel) run(out []int) {
 	n := len(k.classes)
-	// A tier holds at most the beam (tier 0 a whole grid) and, before the
-	// beam, a grid's worth of successors of each.
-	capT := min(k.space, max(k.beam, k.g), capLimit)
-	capN := min(k.space, capT*k.g, capLimit)
-	tiers := make([]state, 2*capN)
-	k.bufs = [2][]state{tiers[:capN:capN], tiers[capN:]}
-	// The links start at half the largest tier a class (at most 512
-	// states) and double when the tiers run longer.
-	k.hist = make([]uint32, 0, n*max(k.g, min(capT/2, 512)))
+	tierCap, linkCap := k.bound()
+	tiers := make([]state, 2*tierCap)
+	k.bufs = [2][]state{tiers[:tierCap:tierCap], tiers[tierCap:]}
+	k.hist = make([]uint32, 0, linkCap)
 	cur, held := k.buf(0, len(k.cands[0])), 0
 	links := k.links(len(cur))
 	for a := range cur {
@@ -325,7 +320,7 @@ func (k *kernel) run(out []int) {
 		k.start[i] = len(k.hist)
 		cur, held = k.tier(cur, held, i), 1-held
 		if len(cur) > k.beam {
-			cur = k.prune(cur, k.hist[k.start[i]:])
+			cur = k.prune(cur, k.hist[k.start[i]:], k.buf(1-held, len(cur)))
 		}
 		k.hist = k.hist[:k.start[i]+len(cur)]
 	}
@@ -333,7 +328,7 @@ func (k *kernel) run(out []int) {
 	// Pick the cheapest final state (smallest key on ties) and backtrack.
 	j := 0
 	for pos := range cur {
-		if st, b := cur[pos], cur[j]; st.cost < b.cost || st.cost == b.cost && st.key < b.key {
+		if cur[pos].before(cur[j]) {
 			j = pos
 		}
 	}
@@ -345,12 +340,81 @@ func (k *kernel) run(out []int) {
 	}
 }
 
+// bound sizes the buffers from the ladder. Tier i holds distinct chains of
+// strictly increasing estimators over classes max(i−γ+1, 0)..i, one digit
+// each, whose oldest digit ends a chain from class 0; without a beam it
+// holds every such chain. It also holds at most a grid's worth of
+// successors of each state tier i−1 kept. tierCap is the largest of these
+// bounds, and linkCap the most links stored at once: those of the kept
+// states of every earlier tier plus the current tier's before the beam.
+// Each tier's bound is capped at capLimit; past it, buf and links grow on
+// demand.
+func (k *kernel) bound() (tierCap, linkCap int) {
+	kept, prev := 0, 1 // the links of tiers 0..i−1; the states tier i−1 kept
+	for i := range k.classes {
+		if i > 0 {
+			// The digits that end a chain from class 0 are those above the
+			// lowest such estimator of class i−1.
+			e, d := k.classes[i-1].Support+k.cands[i-1][k.low[i-1]], 0
+			for d < len(k.cands[i])-1 && k.classes[i].Support+k.cands[i][d] <= e {
+				d++
+			}
+			k.low[i] = d
+		}
+		b := min(k.chains(i), prev*len(k.cands[i]), capLimit)
+		tierCap, linkCap = max(tierCap, b), max(linkCap, kept+b)
+		prev = b
+		if i > 0 && b > k.beam { // the beam prunes every tier but the first
+			prev = k.beam
+		}
+		kept += prev
+	}
+	return tierCap, linkCap
+}
+
+// chains counts the chains of strictly increasing estimators over classes
+// max(i−γ+1, 0)..i, one digit each and the oldest at least low, saturating
+// at 2^32. Its scratch is a0 and a1, which the tiers do not use until the
+// first one is built.
+func (k *kernel) chains(i int) int {
+	cnt, next := k.a0, k.a1
+	j := max(i-k.gamma+1, 0)
+	for d := range k.cands[j] {
+		cnt[d] = 0
+		if d >= k.low[j] {
+			cnt[d] = 1
+		}
+	}
+	for ; j < i; j++ {
+		lo, hi := k.cands[j], k.cands[j+1]
+		tl, th := k.classes[j].Support, k.classes[j+1].Support
+		sum, b := 0, 0
+		for d, bd := range hi {
+			for ; b < len(lo) && tl+lo[b] < th+bd; b++ {
+				sum += cnt[b]
+			}
+			next[d] = min(sum, 1<<32)
+		}
+		cnt, next = next, cnt
+	}
+	total := 0
+	for _, c := range cnt[:len(k.cands[i])] {
+		total += c
+	}
+	return min(total, 1<<32)
+}
+
 // state is one live DP state: its packed digit key and the cost of its
 // cheapest chain. The chain's link back sits at the same position in the
 // tier's stretch of hist.
 type state struct {
 	key  uint64
 	cost int64
+}
+
+// before orders states by cost, ties by key: the order the beam keeps.
+func (a state) before(b state) bool {
+	return a.cost < b.cost || a.cost == b.cost && a.key < b.key
 }
 
 // links extends the backtracking links by m entries for the next tier and
@@ -438,7 +502,7 @@ func (k *kernel) tier(cur []state, held, i int) []state {
 	}
 
 	var off []int
-	size := nd // γ = 1: at most one state per new digit
+	size := nd - k.low[i] // γ = 1: at most one state per digit from low on
 	if nret > 0 {
 		// dlo[b]: class i's first digit whose estimator exceeds class
 		// i−1's at digit b — estimator order forbids every lower one.
@@ -555,31 +619,14 @@ func (k *kernel) sumRows(ret []int64, ids []int, lo int) {
 }
 
 // prune keeps the beam cheapest states of tier, ties by key, in tier
-// order, and their links at the same positions. The cuts are found by
-// selection, not a sort.
-func (k *kernel) prune(tier []state, links []uint32) []state {
-	if cap(k.costs) < len(tier) {
-		k.costs, k.keys = make([]int64, 0, cap(tier)), make([]uint64, 0, cap(tier))
-	}
-	k.costs = k.costs[:0]
-	for j := range tier {
-		k.costs = append(k.costs, tier[j].cost)
-	}
-	cut, less, equal := nth(k.costs, k.beam-1)
-	// States at the cut stay by ascending key until the beam is full.
-	keyCut := ^uint64(0)
-	if ties := k.beam - less; ties < equal {
-		k.keys = k.keys[:0]
-		for j := range tier {
-			if tier[j].cost == cut {
-				k.keys = append(k.keys, tier[j].key)
-			}
-		}
-		keyCut, _, _ = nth(k.keys, ties-1)
-	}
+// order, and their links at the same positions. The cut is found by
+// selection over sel, a scratch buffer of the tier's length, not a sort.
+func (k *kernel) prune(tier []state, links []uint32, sel []state) []state {
+	copy(sel, tier)
+	cut := nth(sel, k.beam-1)
 	kept := 0
 	for j, st := range tier {
-		if st.cost < cut || st.cost == cut && st.key <= keyCut {
+		if !cut.before(st) {
 			tier[kept], links[kept] = st, links[j]
 			kept++
 		}
@@ -587,22 +634,31 @@ func (k *kernel) prune(tier []state, links []uint32) []state {
 	return tier[:kept]
 }
 
-// nth returns the k-th smallest (0-based) of xs, reordering xs, and how
-// many elements are smaller than it and equal to it: quickselect with a
-// three-way partition, so runs of equal values cost one pass.
-func nth[T cmp.Ordered](xs []T, k int) (v T, less, equal int) {
+// nth returns the k-th (0-based) of xs in before order, reordering xs:
+// quickselect around a median of three. A tier's keys are distinct, so only
+// the pivot itself compares equal to the pivot.
+func nth(xs []state, k int) state {
 	lo, hi := 0, len(xs)
 	for {
 		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
-		pivot := max(min(a, b), min(max(a, b), c)) // median of three
+		if b.before(a) {
+			a, b = b, a
+		}
+		if c.before(b) {
+			b = c
+			if b.before(a) {
+				b = a
+			}
+		}
+		pivot := b
 		lt, j, gt := lo, lo, hi
 		for j < gt {
 			switch x := xs[j]; {
-			case x < pivot:
+			case x.before(pivot):
 				xs[lt], xs[j] = x, xs[lt]
 				lt++
 				j++
-			case x > pivot:
+			case pivot.before(x):
 				gt--
 				xs[j], xs[gt] = xs[gt], x
 			default:
@@ -615,7 +671,7 @@ func nth[T cmp.Ordered](xs []T, k int) (v T, less, equal int) {
 		case k >= gt:
 			lo = gt
 		default:
-			return pivot, lt, gt - lt
+			return pivot
 		}
 	}
 }

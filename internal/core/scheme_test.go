@@ -383,6 +383,50 @@ func TestOrderPreservingKernelMatchesReference(t *testing.T) {
 	})
 }
 
+// TestKernelSizedFromLadder: bound sizes the tier buffers and the links for
+// everything a call stores, so no call grows them — at every γ, beam and
+// grid, on random and real ladders — and where the beam cannot bite (a tier
+// holds at most g^γ states) it sizes the links exactly.
+func TestKernelSizedFromLadder(t *testing.T) {
+	check := func(what string, s OrderPreserving, classes []fec.Class, p Params) {
+		t.Helper()
+		cands, g := s.grids(classes, p)
+		k := newKernel(classes, cands, g, s.gamma(), s.maxStates(), p)
+		tierCap, linkCap := k.bound()
+		k.run(make([]int, len(classes)))
+		if cap(k.bufs[0]) != tierCap || cap(k.bufs[1]) != tierCap || cap(k.hist) != linkCap {
+			t.Fatalf("%s (%+v): buffers grew to %d and %d states and %d links; bound %d states and %d links",
+				what, s, cap(k.bufs[0]), cap(k.bufs[1]), cap(k.hist), tierCap, linkCap)
+		}
+		if k.space <= k.beam && len(k.hist) != linkCap {
+			t.Fatalf("%s (%+v): %d links stored, bound %d", what, s, len(k.hist), linkCap)
+		}
+	}
+	src := rng.New(20261020)
+	for gamma := 1; gamma <= maxGamma; gamma++ {
+		for _, beam := range []int{0, 3, 20, 100} {
+			for _, grid := range []int{0, 3, 5, 7} {
+				s := OrderPreserving{Gamma: gamma, GridSize: grid, MaxStates: beam}
+				for trial := 0; trial < 12; trial++ {
+					maxGap := 40
+					if trial%2 == 0 {
+						maxGap = 3
+					}
+					classes := randomLadder(src, 16, maxGap)
+					p := Params{Epsilon: 0.01 + src.Float64()*0.1, Delta: 0.4, MinSupport: 10, VulnSupport: 5}
+					check(fmt.Sprintf("trial %d n=%d gap≤%d", trial, len(classes), maxGap), s, classes, p)
+				}
+			}
+		}
+	}
+	p := Params{Epsilon: 0.1, Delta: 0.4, MinSupport: 15, VulnSupport: 5}
+	for w, classes := range momentLadders(2000, 15, 20, 10) {
+		for gamma := 1; gamma <= maxGamma; gamma++ {
+			check(fmt.Sprintf("window %d γ=%d", w, gamma), OrderPreserving{Gamma: gamma}, classes, p)
+		}
+	}
+}
+
 // randomLadder draws 1..maxN classes of 1–6 members whose supports start at
 // 20–29 and climb by 1..maxGap.
 func randomLadder(src *rng.Source, maxN, maxGap int) []fec.Class {
@@ -475,11 +519,11 @@ func BenchmarkOrderPreservingBiases(b *testing.B) {
 	}
 }
 
-// TestBiasesAllocsPinned: a bias call sizes its buffers once from the grid,
-// γ and beam, so its allocations stay under one bound at every γ, where the
-// map-keyed reference DP allocates per state (hundreds of thousands of
-// times a call from γ = 4). Only the beam's selection scratch and a few
-// doublings of the backtracking links join in when the beam bites.
+// TestBiasesAllocsPinned: a bias call sizes its buffers once from the
+// ladder (see TestKernelSizedFromLadder), so its allocations stay under one
+// bound at every γ, where the map-keyed reference DP allocates per state
+// (hundreds of thousands of times a call from γ = 4). The beam selects in
+// the spare tier buffer, so nothing joins in when it bites.
 func TestBiasesAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are meaningless under the race detector's shadow allocations")

@@ -2,8 +2,10 @@ package core
 
 // This file is the durability boundary of the publisher: Snapshot captures
 // everything Publish consults that is not derivable from the Config — the
-// window counter, the RNG cursor, the consistent-republication cache, and
-// the incremental-bias memo — and Restore rebuilds a publisher from it. A
+// window counter, the RNG cursor and the consistent-republication cache —
+// and Restore rebuilds a publisher from it. (The biases are a function of
+// each window's FEC ladder, recomputed every window, so no bias state is
+// captured.) A
 // publisher restored from a snapshot taken at window w publishes windows
 // w+1, w+2, ... byte-identically to the publisher the snapshot was taken
 // from. That is what makes crash-and-resume safe against the republication
@@ -18,13 +20,6 @@ import (
 
 	"repro/internal/itemset"
 )
-
-// LadderRung is one step of the serialized FEC ladder: the (support,
-// class-size) pair the incremental-bias memo is keyed by.
-type LadderRung struct {
-	Support int
-	Size    int
-}
 
 // CacheEntry is one serialized republication-cache binding. Key is the
 // compact itemset.Itemset.Key() encoding (binary, not printable).
@@ -45,12 +40,6 @@ type PublisherState struct {
 	Window int
 	// RNG is the perturbation source cursor (rng.Source.State).
 	RNG uint64
-	// BiasReuses mirrors the incremental-path diagnostic counter.
-	BiasReuses int
-	// Ladder and Biases are the incremental-bias memo; both empty or both
-	// of equal length.
-	Ladder []LadderRung
-	Biases []int
 	// Cache holds the republication cache sorted by Key, so snapshots of
 	// equal publishers serialize to equal bytes.
 	Cache []CacheEntry
@@ -58,20 +47,15 @@ type PublisherState struct {
 
 // PublisherDelta is the publisher-side payload of an incremental (delta)
 // checkpoint: everything that changed since the previous snapshot baseline.
-// The window counter, RNG cursor and bias memo are tiny and change every
-// window, so they travel whole; the republication cache — the bulk of a full
+// The window counter and RNG cursor are tiny and change every window, so
+// they travel whole; the republication cache — the bulk of a full
 // snapshot — travels as upserts and evictions only. Applying a delta to the
 // baseline state (evictions first, then upserts) reproduces the full state a
 // Snapshot at the same moment would have captured.
 type PublisherDelta struct {
-	// Window, RNG and BiasReuses are absolute values, not differences.
-	Window     int
-	RNG        uint64
-	BiasReuses int
-	// Ladder and Biases are the complete incremental-bias memo (small, and
-	// usually changed): both empty or both of equal length.
-	Ladder []LadderRung
-	Biases []int
+	// Window and RNG are absolute values, not differences.
+	Window int
+	RNG    uint64
 	// Upserts are the cache entries created or refreshed since the baseline,
 	// sorted by Key; Evicted are the keys the age sweep removed since then,
 	// sorted and deduplicated. A key may appear in both (evicted, then
@@ -108,18 +92,10 @@ func (pub *Publisher) resetDeltaBaseline() {
 // construction (a chain always starts with a full snapshot).
 func (pub *Publisher) SnapshotDelta() *PublisherDelta {
 	d := &PublisherDelta{
-		Window:     pub.window,
-		RNG:        pub.src.State(),
-		BiasReuses: pub.biasReuses,
+		Window:  pub.window,
+		RNG:     pub.src.State(),
+		Upserts: make([]CacheEntry, 0, len(pub.dirtyCache)),
 	}
-	if pub.lastBiases != nil {
-		d.Ladder = make([]LadderRung, len(pub.lastLadder))
-		for i, r := range pub.lastLadder {
-			d.Ladder[i] = LadderRung{Support: r.support, Size: r.size}
-		}
-		d.Biases = append([]int(nil), pub.lastBiases...)
-	}
-	d.Upserts = make([]CacheEntry, 0, len(pub.dirtyCache))
 	for _, e := range pub.dirtyCache {
 		if pub.cache[e.key] != e {
 			// Evicted since it was marked (possibly replaced by a fresh
@@ -149,18 +125,10 @@ func (pub *Publisher) SnapshotDelta() *PublisherDelta {
 // relative to the most recent one.
 func (pub *Publisher) Snapshot() *PublisherState {
 	st := &PublisherState{
-		Window:     pub.window,
-		RNG:        pub.src.State(),
-		BiasReuses: pub.biasReuses,
+		Window: pub.window,
+		RNG:    pub.src.State(),
+		Cache:  make([]CacheEntry, 0, len(pub.cache)),
 	}
-	if pub.lastBiases != nil {
-		st.Ladder = make([]LadderRung, len(pub.lastLadder))
-		for i, r := range pub.lastLadder {
-			st.Ladder[i] = LadderRung{Support: r.support, Size: r.size}
-		}
-		st.Biases = append([]int(nil), pub.lastBiases...)
-	}
-	st.Cache = make([]CacheEntry, 0, len(pub.cache))
 	for k, e := range pub.cache {
 		st.Cache = append(st.Cache, CacheEntry{
 			Key:         k,
@@ -188,21 +156,8 @@ func (pub *Publisher) Restore(st *PublisherState) error {
 	if st.Window < 0 {
 		return fmt.Errorf("core: publisher state with negative window counter %d", st.Window)
 	}
-	if len(st.Ladder) != len(st.Biases) {
-		return fmt.Errorf("core: publisher state with %d ladder rungs but %d biases",
-			len(st.Ladder), len(st.Biases))
-	}
 	pub.window = st.Window
 	pub.src.SetState(st.RNG)
-	pub.biasReuses = st.BiasReuses
-	pub.lastLadder, pub.lastBiases = nil, nil
-	if len(st.Biases) > 0 {
-		pub.lastLadder = make([]ladderRung, len(st.Ladder))
-		for i, r := range st.Ladder {
-			pub.lastLadder[i] = ladderRung{support: r.Support, size: r.Size}
-		}
-		pub.lastBiases = append([]int(nil), st.Biases...)
-	}
 	pub.cache = make(map[string]*cacheEntry, len(st.Cache))
 	for _, e := range st.Cache {
 		pub.cache[e.Key] = &cacheEntry{

@@ -1,8 +1,7 @@
 package core
 
 // This file is the publisher's observability surface: the health of the
-// consistent-republication cache and the bias-memo reuse count, exported
-// through the telemetry registry.
+// consistent-republication cache, exported through the telemetry registry.
 //
 // Everything here is recorded AFTER a window's perturbation is complete,
 // from counts the publisher already holds. No recording touches the RNG
@@ -20,7 +19,6 @@ const (
 	MetricCacheHits    = "butterfly_cache_hits_total"
 	MetricCacheMisses  = "butterfly_cache_misses_total"
 	MetricCacheEntries = "butterfly_cache_entries"
-	MetricBiasReuses   = "butterfly_bias_reuses_total"
 )
 
 // pubMetrics holds the publisher's registered instruments.
@@ -28,7 +26,6 @@ type pubMetrics struct {
 	cacheHits    *telemetry.Counter
 	cacheMisses  *telemetry.Counter
 	cacheEntries *telemetry.Gauge
-	biasReuses   *telemetry.Counter
 }
 
 // SetMetrics registers the publisher's instruments on reg and starts
@@ -46,8 +43,6 @@ func (pub *Publisher) SetMetrics(reg *telemetry.Registry) {
 			"Published itemsets drawn fresh (no usable cache entry).", nil),
 		cacheEntries: reg.Gauge(MetricCacheEntries,
 			"Live republication-cache entries after the last sweep.", nil),
-		biasReuses: reg.Counter(MetricBiasReuses,
-			"Publish calls that reused the previous window's bias optimization.", nil),
 	}
 }
 
@@ -60,11 +55,4 @@ func (pub *Publisher) recordCache(hits, misses int) {
 	m.cacheHits.Add(uint64(hits))
 	m.cacheMisses.Add(uint64(misses))
 	m.cacheEntries.Set(float64(len(pub.cache)))
-}
-
-// recordBiasReuse counts one incremental-path reuse.
-func (pub *Publisher) recordBiasReuse() {
-	if pub.metrics != nil {
-		pub.metrics.biasReuses.Inc()
-	}
 }

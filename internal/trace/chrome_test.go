@@ -30,7 +30,7 @@ func goldenTracer() *Tracer {
 	sp := w.Add(KindPerturb, at(12), 5*time.Millisecond)
 	sp.Attr(AttrCacheHits, 12)
 	sp.Attr(AttrCacheMisses, 29)
-	w.Add(KindBiasOpt, at(12), 3*time.Millisecond).Attr(AttrBiasReused, 0)
+	w.Add(KindBiasOpt, at(12), 3*time.Millisecond)
 	w.Add(KindEmit, at(17), 4*time.Millisecond).Attr(AttrRetries, 1)
 	w.Add(KindRetry, at(17), time.Millisecond).Attr(AttrAttempt, 1)
 	w.Add(KindCheckpointSave, at(21), 2*time.Millisecond)

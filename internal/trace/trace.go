@@ -151,9 +151,6 @@ const (
 	AttrCacheMisses
 	// AttrItemsets is the published itemset count of this window.
 	AttrItemsets
-	// AttrBiasReused is 1 when the bias optimization reused the previous
-	// window's result (identical FEC ladder), else 0.
-	AttrBiasReused
 	// AttrLines is the accepted-line count of an ingest request (good + bad).
 	AttrLines
 	// AttrQueueLen is the pipeline queue depth observed when an ingest
@@ -165,8 +162,8 @@ const (
 
 var attrKeyNames = [numAttrKeys]string{
 	"window", "records", "bad_records", "retries", "attempt",
-	"cache_hits", "cache_misses", "itemsets", "bias_reused",
-	"lines", "queue_len",
+	"cache_hits", "cache_misses", "itemsets", "lines",
+	"queue_len",
 }
 
 // String returns the stable attribute name used in the Chrome JSON args.
